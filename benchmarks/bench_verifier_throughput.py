@@ -2,11 +2,14 @@
 
 The quantitative-certificate pipeline dominates Canopy's runtime: the paper
 evaluates with N=50 components per property at every coarse-grained decision.
-The batched engine propagates all N components as one ``(N, d)`` box through
-the actor (one IBP pass per property) instead of looping components in
-Python.  This benchmark measures both paths on identical decision contexts,
-records certificates/sec and wall-clock in the bench JSON (``extra_info``),
-and asserts the batched engine clears a >= 5x speedup at evaluation scale.
+The batched engine propagates every component of a call as rows of one
+box through the actor instead of looping components in Python.  This
+benchmark measures three paths on identical decision contexts: the scalar
+reference, one ``certify`` call per (decision, property), and one
+``certify_decisions`` call for all decisions and properties.  It records
+certificates/sec and wall-clock of each in the bench JSON (``extra_info``),
+and asserts the per-call batched engine clears a >= 5x speedup over the
+reference at evaluation scale.
 
 The differential suite (``tests/test_verifier_differential.py``) proves the
 two paths produce numerically identical certificates, so the speedup is free.
@@ -57,12 +60,21 @@ def certify_pass(verifier, properties, contexts, certify):
     return certificates
 
 
+def certify_decisions_pass(verifier, properties, contexts):
+    states = np.stack([state for state, _, _ in contexts])
+    cwnd_tcp = [cwnd for _, cwnd, _ in contexts]
+    cwnd_prev = [cwnd for _, _, cwnd in contexts]
+    certificates = verifier.certify_decisions(properties, states, cwnd_tcp, cwnd_prev)
+    return sum(len(per_decision) for per_decision in certificates)
+
+
 def test_batched_verifier_is_5x_faster_than_scalar_reference(benchmark):
     verifier, properties, contexts = make_workload()
 
     # Warm up both paths (first-touch allocations, BLAS thread spin-up).
     certify_pass(verifier, properties, contexts[:1], verifier.certify)
     certify_pass(verifier, properties, contexts[:1], verifier.certify_reference)
+    certify_decisions_pass(verifier, properties, contexts[:1])
 
     start = time.perf_counter()
     n_certificates = certify_pass(verifier, properties, contexts, verifier.certify_reference)
@@ -73,9 +85,14 @@ def test_batched_verifier_is_5x_faster_than_scalar_reference(benchmark):
                        rounds=1, iterations=1)
     batched_seconds = time.perf_counter() - start
 
+    start = time.perf_counter()
+    assert certify_decisions_pass(verifier, properties, contexts) == n_certificates
+    decisions_seconds = time.perf_counter() - start
+
     speedup = scalar_seconds / batched_seconds
     batched_certs_per_sec = n_certificates / batched_seconds
     scalar_certs_per_sec = n_certificates / scalar_seconds
+    decisions_certs_per_sec = n_certificates / decisions_seconds
     benchmark.extra_info.update({
         "n_components": N_COMPONENTS,
         "n_certificates": n_certificates,
@@ -83,10 +100,13 @@ def test_batched_verifier_is_5x_faster_than_scalar_reference(benchmark):
         "batched_wall_clock_s": batched_seconds,
         "scalar_certificates_per_sec": scalar_certs_per_sec,
         "batched_certificates_per_sec": batched_certs_per_sec,
+        "decisions_wall_clock_s": decisions_seconds,
+        "decisions_certificates_per_sec": decisions_certs_per_sec,
         "speedup": speedup,
     })
     print(f"\nverifier throughput at N={N_COMPONENTS}: "
-          f"batched {batched_certs_per_sec:.0f} certs/s "
+          f"batched {batched_certs_per_sec:.0f} certs/s, "
+          f"decision-batched {decisions_certs_per_sec:.0f} certs/s "
           f"vs scalar {scalar_certs_per_sec:.0f} certs/s  ({speedup:.1f}x)")
 
     assert speedup >= MIN_SPEEDUP, (

@@ -8,7 +8,8 @@ soundness condition ``γ(f#(s#)) ⊇ {f(s) : s ∈ γ(s#)}`` holds.
 Beyond the neural-network layers (affine, ReLU, tanh) described in Section 3.2
 of the paper, Canopy needs a transformer for the post-network cwnd computation
 (Eq. 1): ``cwnd = 2^(2a) · cwnd_TCP``, and for the derived actions used in the
-property postconditions (Δcwnd and the fractional cwnd change of P5).
+property postconditions (Δcwnd and the fractional cwnd change of P5), including
+the controller's ``MIN_CWND`` floor on the window.
 
 All transformers are batch-transparent: handed a batched box (``lo``/``hi`` of
 shape ``(N, d)``, see :mod:`repro.abstract.box`) they transform all ``N``
@@ -35,6 +36,7 @@ __all__ = [
     "monotone",
     "exp2",
     "cwnd_from_action",
+    "clamp_min",
     "delta_cwnd",
     "cwnd_change_fraction",
 ]
@@ -86,7 +88,7 @@ def exp2(box: Box) -> Box:
     return monotone(box, np.exp2)
 
 
-def cwnd_from_action(action: Box, cwnd_tcp: float, action_clip: tuple[float, float] = (-1.0, 1.0)) -> Box:
+def cwnd_from_action(action: Box, cwnd_tcp, action_clip: tuple[float, float] = (-1.0, 1.0)) -> Box:
     """Abstract counterpart of Orca's cwnd map (Eq. 1).
 
     ``cwnd = 2^(2a) * cwnd_TCP`` with ``a`` clipped to ``action_clip`` — the
@@ -94,15 +96,37 @@ def cwnd_from_action(action: Box, cwnd_tcp: float, action_clip: tuple[float, flo
     defensively so the transformer stays sound for any upstream network.
     ``cwnd_TCP`` is the concrete TCP-suggested window at this step (kept
     concrete in Canopy; only the network-state variables of interest are
-    abstracted).
+    abstracted).  It may be an array broadcastable against the action box,
+    one window per batched row.
+
+    The controller also floors the window at ``MIN_CWND``
+    (:func:`repro.orca.agent.cwnd_from_action`); compose with
+    :func:`clamp_min` to describe the controller exactly.
     """
-    if cwnd_tcp < 0:
+    cwnd_tcp = np.asarray(cwnd_tcp, dtype=np.float64)
+    if np.any(cwnd_tcp < 0):
         raise ValueError("cwnd_tcp must be non-negative")
     lo_a, hi_a = action_clip
     clipped = Box.from_bounds(np.clip(action.lo, lo_a, hi_a), np.clip(action.hi, lo_a, hi_a))
     doubled = scale(clipped, 2.0)
     gain = exp2(doubled)
-    return scale(gain, float(cwnd_tcp))
+    return scale(gain, cwnd_tcp)
+
+
+def clamp_min(box: Box, floor: float) -> Box:
+    """``max(floor, x)`` lifted to the box domain (monotone, hence exact).
+
+    Elements whose lower bound is already at or above ``floor`` keep their
+    center and deviation bit for bit.
+    """
+    lo = box.lo
+    binds = lo < floor
+    if not np.any(binds):
+        return box
+    upper = np.maximum(box.hi, floor)
+    lower = np.maximum(lo, floor)
+    return Box(np.where(binds, (upper + lower) / 2.0, box.center),
+               np.where(binds, (upper - lower) / 2.0, box.deviation))
 
 
 def delta_cwnd(cwnd: Box, cwnd_prev: float) -> Box:

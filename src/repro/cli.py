@@ -209,7 +209,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
                                   min_rtt=args.rtt, topology=args.topology,
                                   workload=args.workload, seed=args.seed)
     model = get_trained_model(args.kind, training_steps=args.steps, seed=args.seed)
-    qcsat = evaluate_qcsat(model, trace, settings, n_components=args.components or 50)
+    qcsat = evaluate_qcsat(model, trace, settings, n_components=args.components)
     console(f"QC_sat for {args.kind} on {trace.name}: {qcsat.mean:.3f} +/- {qcsat.std:.3f} "
             f"({qcsat.n_decisions} decisions, properties {qcsat.property_names})")
     return 0
@@ -512,6 +512,14 @@ def cmd_compare_classical(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 # Parser
 # ---------------------------------------------------------------------- #
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (e.g. ``--components``)."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", default="canopy-shallow", choices=sorted(MODEL_KINDS),
                         help="which learned model to use")
@@ -558,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_parser = subparsers.add_parser("train", help="train a Canopy/Orca model")
     _add_common_model_arguments(train_parser)
     train_parser.add_argument("--lam", type=float, default=None, help="override lambda")
-    train_parser.add_argument("--components", type=int, default=None, help="override N")
+    train_parser.add_argument("--components", type=_positive_int, default=None, help="override N")
     train_parser.add_argument("--out", default=None, help="save agent weights to this .npz path")
     train_parser.set_defaults(handler=cmd_train)
 
@@ -571,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     certify_parser = subparsers.add_parser("certify", help="compute QC_sat over a trace")
     _add_common_model_arguments(certify_parser)
     _add_common_eval_arguments(certify_parser)
-    certify_parser.add_argument("--components", type=int, default=50)
+    certify_parser.add_argument("--components", type=_positive_int, default=50)
     certify_parser.set_defaults(handler=cmd_certify)
 
     figure_parser = subparsers.add_parser("figure", help="regenerate one evaluation figure/table")

@@ -75,16 +75,14 @@ def satisfaction_grid(
     observer = verifier.observer
     x_values = np.asarray(list(x_values), dtype=np.float64)
     y_values = np.asarray(list(y_values), dtype=np.float64)
-    feedback = np.zeros((y_values.size, x_values.size))
-    for yi, y in enumerate(y_values):
-        for xi, x in enumerate(x_values):
-            state = _base_state(verifier, fill)
-            for idx in observer.feature_indices(x_feature):
-                state[idx] = x
-            for idx in observer.feature_indices(y_feature):
-                state[idx] = y
-            certificate = verifier.certify(prop, state, cwnd_tcp, cwnd_prev, n_components=n_components)
-            feedback[yi, xi] = certificate.feedback
+    states = np.tile(_base_state(verifier, fill), (y_values.size, x_values.size, 1))
+    states[:, :, observer.feature_indices(x_feature)] = x_values[None, :, None]
+    states[:, :, observer.feature_indices(y_feature)] = y_values[:, None, None]
+    states = states.reshape(-1, observer.state_dim)
+    certificates = verifier.certify_decisions([prop], states, cwnd_tcp, cwnd_prev,
+                                              n_components=n_components)
+    feedback = np.array([certificate.feedback for certificate, in certificates]).reshape(
+        y_values.size, x_values.size)
     return SatisfactionGrid(prop.name, x_feature, y_feature, x_values, y_values, feedback)
 
 
@@ -97,15 +95,16 @@ def property_report(
     n_components: int = 10,
 ) -> List[Dict[str, float]]:
     """Per-property satisfaction statistics over a set of observation states."""
+    props = list(properties)
+    certificates = []
+    if len(states):
+        stacked = np.stack([np.asarray(state, dtype=np.float64) for state in states])
+        certificates = verifier.certify_decisions(props, stacked, cwnd_tcp, cwnd_prev,
+                                                  n_components=n_components)
     rows = []
-    for prop in properties:
-        feedbacks = []
-        proofs = 0
-        for state in states:
-            certificate = verifier.certify(prop, np.asarray(state, dtype=np.float64),
-                                           cwnd_tcp, cwnd_prev, n_components=n_components)
-            feedbacks.append(certificate.feedback)
-            proofs += 1 if certificate.proof else 0
+    for j, prop in enumerate(props):
+        feedbacks = [per_state[j].feedback for per_state in certificates]
+        proofs = sum(1 for per_state in certificates if per_state[j].proof)
         rows.append({
             "property": prop.name,
             "mean_feedback": float(np.mean(feedbacks)) if feedbacks else 1.0,

@@ -191,6 +191,35 @@ class PropertySpec:
                 lo[idx], hi[idx] = (-1.0, 0.0) if self.dcwnd_sign < 0 else (0.0, 1.0)
         return Box.from_bounds(lo, hi)
 
+    def input_region_bounds(self, states: np.ndarray, observer: ObservationBuilder) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`input_region` for a stack of states, as ``(lo, hi)`` arrays.
+
+        ``states`` has shape ``(D, d)``; row ``i`` of the returned bounds is
+        numerically identical to ``input_region(states[i], observer)``.
+        """
+        states = np.asarray(states, dtype=np.float64)
+        if states.ndim != 2 or states.shape[1] != observer.state_dim:
+            raise ValueError(f"states have shape {states.shape}, expected (D, {observer.state_dim})")
+        lo = states.copy()
+        hi = states.copy()
+        if self.kind is ActionKind.CWND_CHANGE_FRACTION:
+            idx = [i for feature in self.noise_features for i in observer.feature_indices(feature)]
+            low_value = states[:, idx] * (1.0 - self.noise_mu)
+            high_value = states[:, idx] * (1.0 + self.noise_mu)
+            lo[:, idx] = np.minimum(low_value, high_value)
+            hi[:, idx] = np.maximum(low_value, high_value)
+            return lo, hi
+        if self.delay_range is not None:
+            idx = observer.feature_indices("delay")
+            lo[:, idx], hi[:, idx] = self.delay_range
+        if self.loss_range is not None:
+            idx = observer.feature_indices("loss")
+            lo[:, idx], hi[:, idx] = self.loss_range
+        if self.dcwnd_sign is not None:
+            idx = observer.feature_indices("dcwnd")
+            lo[:, idx], hi[:, idx] = (-1.0, 0.0) if self.dcwnd_sign < 0 else (0.0, 1.0)
+        return lo, hi
+
     # ------------------------------------------------------------------ #
     # Postcondition handling
     # ------------------------------------------------------------------ #

@@ -10,12 +10,20 @@ A QC (Section 4.3) has two pieces:
 The :class:`QuantitativeCertificate` produced by the verifier carries both,
 plus enough detail (per-component output bounds) to reproduce the
 certified-component visualizations of Figures 6 and 8.
+
+Certificates are columnar.  The verifier certifies many (decision, property)
+pairs in one propagation pass whose rows are chunked under a fixed row
+budget (:data:`repro.core.verifier.ROW_BUDGET`); each certificate keeps
+read-only views of its own ``N`` rows of that pass rather than ``N``
+per-component objects.  Aggregates (feedback, proof, satisfied fraction,
+output bounds) are array reductions over those columns, and the
+per-component :class:`ComponentCertificate` view is built only on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,21 +58,27 @@ def interval_feedback(output: Interval, allowed: Interval) -> float:
 def interval_feedback_batch(
     output_lo: np.ndarray,
     output_hi: np.ndarray,
-    allowed: Interval,
+    allowed,
 ) -> tuple:
     """Vectorized proof + Eq. 6 feedback over ``N`` scalar output intervals.
 
     Takes the per-component checked-action bounds as flat ``(N,)`` arrays and
-    the (scalar) allowed region; returns ``(satisfied, feedback)`` boolean and
-    float arrays of shape ``(N,)``.  Component ``i`` matches the scalar path
+    the allowed region, either one scalar :class:`Interval` for every row or a
+    ``(lo, hi)`` pair of arrays broadcastable to ``(N,)`` (one allowed region
+    per row, as when several properties share one pass).  Returns
+    ``(satisfied, feedback)`` boolean and float arrays of shape ``(N,)``.
+    Component ``i`` matches the scalar path
     ``(allowed.contains_interval(out_i), interval_feedback(out_i, allowed))``
     exactly, including the containment tolerance and the degenerate
     (zero-width) interval rule.
     """
     output_lo = np.asarray(output_lo, dtype=np.float64).reshape(-1)
     output_hi = np.asarray(output_hi, dtype=np.float64).reshape(-1)
-    allowed_lo = float(np.asarray(allowed.lo).reshape(-1)[0])
-    allowed_hi = float(np.asarray(allowed.hi).reshape(-1)[0])
+    if isinstance(allowed, Interval):
+        allowed_lo = float(np.asarray(allowed.lo).reshape(-1)[0])
+        allowed_hi = float(np.asarray(allowed.hi).reshape(-1)[0])
+    else:
+        allowed_lo, allowed_hi = (np.asarray(bound, dtype=np.float64) for bound in allowed)
 
     satisfied = (output_lo >= allowed_lo - _CONTAIN_TOL) & (output_hi <= allowed_hi + _CONTAIN_TOL)
     intersects = (output_lo <= allowed_hi) & (allowed_lo <= output_hi)
@@ -95,34 +109,118 @@ class ComponentCertificate:
         return Interval(self.output_lo, self.output_hi)
 
 
-@dataclass
 class QuantitativeCertificate:
-    """The QC for one property at one decision step."""
+    """The QC for one property at one decision step, stored column-wise.
 
-    property_name: str
-    allowed_lo: float
-    allowed_hi: float
-    components: List[ComponentCertificate] = field(default_factory=list)
-    applicable: bool = True
+    The certificate holds one read-only array per per-component quantity:
+    ``input_lo`` / ``input_hi`` of shape ``(N, d)`` and ``output_lo``,
+    ``output_hi``, ``satisfied`` and ``component_feedback`` of shape
+    ``(N,)``.  The certification engine hands in views of the rows of one
+    propagation pass (see :mod:`repro.core.verifier`), so building a
+    certificate copies nothing; :attr:`feedback`, :attr:`satisfied_fraction`,
+    :attr:`proof` and :meth:`output_bounds` read the columns directly.
+    :class:`ComponentCertificate` objects are built only when
+    :attr:`components` is read.
+
+    ``QuantitativeCertificate(name, lo, hi, components=[...])`` builds the
+    same columns from a list of component certificates.
+    """
+
+    def __init__(
+        self,
+        property_name: str,
+        allowed_lo: float,
+        allowed_hi: float,
+        components: Sequence[ComponentCertificate] = (),
+        applicable: bool = True,
+    ) -> None:
+        components = tuple(components)
+        width = np.asarray(components[0].input_lo).shape[-1] if components else 0
+        self._init(
+            property_name, allowed_lo, allowed_hi, applicable,
+            input_lo=np.array([c.input_lo for c in components], dtype=np.float64).reshape(len(components), width),
+            input_hi=np.array([c.input_hi for c in components], dtype=np.float64).reshape(len(components), width),
+            output_lo=np.array([c.output_lo for c in components], dtype=np.float64),
+            output_hi=np.array([c.output_hi for c in components], dtype=np.float64),
+            satisfied=np.array([c.satisfied for c in components], dtype=bool),
+            component_feedback=np.array([c.feedback for c in components], dtype=np.float64),
+        )
+        self._components = components or None
+
+    @classmethod
+    def from_columns(
+        cls,
+        property_name: str,
+        allowed_lo: float,
+        allowed_hi: float,
+        *,
+        input_lo: np.ndarray,
+        input_hi: np.ndarray,
+        output_lo: np.ndarray,
+        output_hi: np.ndarray,
+        satisfied: np.ndarray,
+        component_feedback: np.ndarray,
+    ) -> "QuantitativeCertificate":
+        """A certificate over per-component columns, kept as read-only views."""
+        certificate = cls.__new__(cls)
+        certificate._init(
+            property_name, allowed_lo, allowed_hi, True,
+            input_lo=input_lo, input_hi=input_hi, output_lo=output_lo,
+            output_hi=output_hi, satisfied=satisfied, component_feedback=component_feedback,
+        )
+        return certificate
+
+    def _init(self, property_name: str, allowed_lo: float, allowed_hi: float,
+              applicable: bool, **columns: np.ndarray) -> None:
+        self.property_name = property_name
+        self.allowed_lo = float(allowed_lo)
+        self.allowed_hi = float(allowed_hi)
+        self.applicable = applicable
+        n = columns["output_lo"].shape[0]
+        for name, column in columns.items():
+            if column.shape[0] != n:
+                raise ValueError(f"column {name!r} has {column.shape[0]} rows, expected {n}")
+            column = column.view()
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self._components: Optional[Tuple[ComponentCertificate, ...]] = None
 
     # ------------------------------------------------------------------ #
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return int(self.output_lo.shape[0])
+
+    @property
+    def components(self) -> Tuple[ComponentCertificate, ...]:
+        """Per-component certificates, built from the columns on first access."""
+        if self._components is None:
+            self._components = tuple(
+                ComponentCertificate(
+                    index=index,
+                    input_lo=self.input_lo[index],
+                    input_hi=self.input_hi[index],
+                    output_lo=float(self.output_lo[index]),
+                    output_hi=float(self.output_hi[index]),
+                    satisfied=bool(self.satisfied[index]),
+                    feedback=float(self.component_feedback[index]),
+                )
+                for index in range(self.n_components)
+            )
+        return self._components
 
     @property
     def feedback(self) -> float:
         """QC feedback: mean of the per-component smoothed feedback (Eq. 6)."""
-        if not self.components:
+        if not self.n_components:
             return 1.0
-        return float(np.mean([c.feedback for c in self.components]))
+        return float(np.mean(self.component_feedback))
 
     @property
     def satisfied_fraction(self) -> float:
         """Fraction of components whose certification is a full (boolean) proof."""
-        if not self.components:
+        if not self.n_components:
             return 1.0
-        return float(np.mean([1.0 if c.satisfied else 0.0 for c in self.components]))
+        return float(np.mean(self.satisfied))
 
     @property
     def proof(self) -> bool:
@@ -131,7 +229,7 @@ class QuantitativeCertificate:
         When this holds the QC coincides with the boolean certificate of prior
         verification work: ``π ⊢_c φ`` on the whole input region ``X``.
         """
-        return all(c.satisfied for c in self.components) if self.components else True
+        return bool(np.all(self.satisfied))
 
     @property
     def allowed_interval(self) -> Interval:
@@ -139,7 +237,7 @@ class QuantitativeCertificate:
 
     def output_bounds(self) -> np.ndarray:
         """Per-component ``(lo, hi)`` output bounds — the data behind Figs. 6/8."""
-        return np.array([[c.output_lo, c.output_hi] for c in self.components], dtype=np.float64)
+        return np.stack([self.output_lo, self.output_hi], axis=1)
 
     def summary(self) -> dict:
         return {
@@ -150,3 +248,7 @@ class QuantitativeCertificate:
             "n_components": self.n_components,
             "applicable": self.applicable,
         }
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"QuantitativeCertificate({self.property_name!r}, feedback={self.feedback:.4f}, "
+                f"n_components={self.n_components}, applicable={self.applicable})")

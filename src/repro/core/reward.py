@@ -17,7 +17,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.properties import PropertySet
-from repro.core.verifier import Verifier
+from repro.core.verifier import Verifier, weighted_feedback
 
 __all__ = ["ShapedReward", "CanopyRewardShaper"]
 
@@ -46,18 +46,15 @@ class CanopyRewardShaper:
         self.n_components = n_components
 
     def shape(self, raw_reward: float, state: np.ndarray, cwnd_tcp: float, cwnd_prev: float) -> ShapedReward:
-        """Compute Eq. 10 for one step and return the decomposition."""
-        per_property: Dict[str, float] = {}
-        total_feedback = 0.0
-        weight_sum = 0.0
-        for prop in self.properties:
-            certificate = self.verifier.certify(
-                prop, state, cwnd_tcp, cwnd_prev, n_components=self.n_components
-            )
-            per_property[prop.name] = certificate.feedback
-            total_feedback += prop.weight * certificate.feedback
-            weight_sum += prop.weight
-        verifier_reward = total_feedback / weight_sum if weight_sum > 0 else 1.0
+        """Compute Eq. 10 for one step and return the decomposition.
+
+        The whole property set is certified in one fused engine pass.
+        """
+        certificates = self.verifier.certify_all(
+            self.properties, state, cwnd_tcp, cwnd_prev, n_components=self.n_components
+        )
+        per_property = {name: certificate.feedback for name, certificate in certificates.items()}
+        verifier_reward = weighted_feedback(self.properties, certificates.values())
         total = (1.0 - self.lam) * raw_reward + self.lam * verifier_reward
         return ShapedReward(
             total=float(total),

@@ -8,7 +8,7 @@ actor network, the verifier:
    (Section 4.3.1), keeping non-abstracted features at their observed values,
 2. partitions it into ``N`` components along the abstracted dimensions,
 3. propagates the components through the actor with interval bound propagation
-   and through the cwnd map ``2^(2a) · cwnd_TCP`` (Eq. 5),
+   and through the cwnd map ``max(MIN_CWND, 2^(2a) · cwnd_TCP)`` (Eq. 5),
 4. compares the derived action (Δcwnd or the fractional cwnd change) with the
    allowed region and computes the per-component proof and smoothed feedback
    (Eq. 6).
@@ -18,20 +18,42 @@ The result is a :class:`repro.core.qc.QuantitativeCertificate`.
 Batched engine
 --------------
 
-:meth:`Verifier.certify` stacks all ``N`` components into one batched box
-(:meth:`repro.abstract.box.Box.split_batched`) and runs a *single* IBP
-propagation per property — the cwnd map, the Δcwnd / fractional-change
-transformers, the containment check and the Eq. 6 feedback are all vectorized
-over the component axis.  The original one-component-at-a-time path is
-retained as :meth:`Verifier.certify_reference` (plus ``certify_all_reference``
-and ``verifier_feedback_reference``); the differential test suite pins the two
-implementations to each other within 1e-12.
+:meth:`Verifier.certify_decisions` certifies a whole stack of decisions ×
+properties × components at once.  For ``D`` decision contexts (states of
+shape ``(D, d)``, per-decision ``cwnd_tcp`` and ``cwnd_prev``) and ``P``
+properties it
+
+* builds all ``D × P`` property input regions with array operations
+  (:meth:`~repro.core.properties.PropertySpec.input_region_bounds`),
+* splits each into its ``N`` components with the arithmetic of
+  :meth:`repro.abstract.box.Box.split_batched`, giving one row per
+  (decision, property, component),
+* pushes each pass's rows through the actor in one ``propagate_mlp_batched`` call,
+* applies the cwnd map (with the controller's ``MIN_CWND`` floor), the Δcwnd
+  or fractional-change step and the Eq. 6 feedback row-wise, each row with
+  its own decision's windows and its own property's allowed region.  The P5
+  reference windows come from one concrete ``actor.forward`` over the ``D``
+  states.
+
+Rows are processed in passes of at most :data:`ROW_BUDGET` rows, and a
+decision's rows are never split across passes.  The budget bounds the
+working set: one pass per decision wastes time on per-call overhead, one pass
+per paper-scale cell grows peak memory for no further gain.  Each
+:class:`~repro.core.qc.QuantitativeCertificate` keeps read-only views of its
+own ``N`` rows of the pass.
+
+:meth:`Verifier.certify`, :meth:`Verifier.certify_all` and
+:meth:`Verifier.verifier_feedback` are the ``D = 1`` cases.  The original
+one-component-at-a-time path is retained as :meth:`Verifier.certify_reference`
+(plus ``certify_all_reference`` and ``verifier_feedback_reference``); the
+differential test suite pins the two implementations to each other within
+1e-12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +61,7 @@ from repro.abstract import transformers
 from repro.abstract.box import Box
 from repro.abstract.interval import Interval
 from repro.abstract.propagate import propagate_mlp, propagate_mlp_batched
+from repro.cc.base import MIN_CWND
 from repro.core.properties import ActionKind, PropertySet, PropertySpec
 from repro.core.qc import (
     ComponentCertificate,
@@ -49,7 +72,16 @@ from repro.core.qc import (
 from repro.orca.agent import cwnd_from_action
 from repro.orca.observations import ObservationBuilder, ObservationConfig
 
-__all__ = ["VerifierConfig", "Verifier"]
+__all__ = ["ROW_BUDGET", "VerifierConfig", "Verifier", "weighted_feedback"]
+
+#: Most rows (decision × property × component) one propagation pass carries.
+#: A decision's rows are never split, so a decision with more rows than this
+#: is a pass of its own.  At the paper's evaluation scale (two properties,
+#: N=50) a pass holds five decisions.
+ROW_BUDGET = 512
+
+#: Tolerance of the concrete sign side-conditions on past Δcwnd.
+_SIGN_TOL = 1e-6
 
 
 @dataclass
@@ -88,6 +120,17 @@ class DecisionContext:
             raise ValueError("cwnd_tcp must be positive")
 
 
+def weighted_feedback(properties: Sequence[PropertySpec],
+                      certificates: Sequence[QuantitativeCertificate]) -> float:
+    """Eq. 7: the weight-averaged QC feedback of one decision's certificates."""
+    total = 0.0
+    weight_sum = 0.0
+    for prop, certificate in zip(properties, certificates):
+        total += prop.weight * certificate.feedback
+        weight_sum += prop.weight
+    return total / weight_sum
+
+
 class Verifier:
     """Computes quantitative certificates for a (learned) controller."""
 
@@ -113,9 +156,150 @@ class Verifier:
         """The concrete enforced window for ``state`` (Eq. 1)."""
         return cwnd_from_action(self.concrete_action(state), cwnd_tcp)
 
+    def _resolve_components(self, n_components: Optional[int]) -> int:
+        n = self.config.n_components if n_components is None else int(n_components)
+        if n <= 0:
+            raise ValueError(f"n_components must be positive, got {n_components}")
+        return n
+
     # ------------------------------------------------------------------ #
     # Certification (batched engine)
     # ------------------------------------------------------------------ #
+    def certify_decisions(
+        self,
+        properties: PropertySet | Sequence[PropertySpec],
+        states: np.ndarray,
+        cwnd_tcp,
+        cwnd_prev,
+        n_components: Optional[int] = None,
+        observer: Optional[ObservationBuilder] = None,
+    ) -> List[List[QuantitativeCertificate]]:
+        """QCs for every property at every decision, ``result[i][j]`` for
+        decision ``i`` and property ``j``.
+
+        ``states`` has shape ``(D, d)``; ``cwnd_tcp`` and ``cwnd_prev`` hold one
+        window per decision (a scalar is shared by all ``D``).  The rows are
+        propagated in passes of at most :data:`ROW_BUDGET` rows (see the
+        module docstring).
+        """
+        observer = observer or self.observer
+        props = list(properties)
+        if not props:
+            raise ValueError("need at least one property")
+        n = self._resolve_components(n_components)
+        states = np.asarray(states, dtype=np.float64)
+        if states.ndim != 2:
+            raise ValueError(f"states must have shape (D, d), got {states.shape}")
+        n_decisions = states.shape[0]
+        cwnd_tcp = np.broadcast_to(np.asarray(cwnd_tcp, dtype=np.float64), (n_decisions,))
+        cwnd_prev = np.broadcast_to(np.asarray(cwnd_prev, dtype=np.float64), (n_decisions,))
+        if not np.all(cwnd_tcp > 0):
+            raise ValueError("cwnd_tcp must be positive")
+
+        per_pass = max(1, ROW_BUDGET // (len(props) * n))
+        certificates: List[List[QuantitativeCertificate]] = []
+        for start in range(0, n_decisions, per_pass):
+            window = slice(start, start + per_pass)
+            certificates.extend(self._certify_pass(
+                props, states[window], cwnd_tcp[window], cwnd_prev[window], n, observer))
+        return certificates
+
+    def _certify_pass(self, props, states, cwnd_tcp, cwnd_prev, n, observer):
+        """One propagation pass over every (decision, property, component) row."""
+        n_decisions, width = states.shape
+        applicable = self._applicability(props, states, observer)
+
+        # Input regions, (D, P, 1, d), as the region boxes store them.
+        bounds = [prop.input_region_bounds(states, observer) for prop in props]
+        region = Box.from_bounds(np.stack([lo for lo, _ in bounds], axis=1),
+                                 np.stack([hi for _, hi in bounds], axis=1))
+        region_lo = region.lo[:, :, None, :]
+        region_hi = region.hi[:, :, None, :]
+        # Component split: the arithmetic of Box.split_batched, along each
+        # property's partition dims, for every region at once -> (D, P, N, d).
+        partition = np.zeros((len(props), width), dtype=bool)
+        for j, prop in enumerate(props):
+            dims = prop.partition_dims(observer)
+            partition[j, dims if dims else slice(None)] = True
+        partition = partition[None, :, None, :]
+        index = np.arange(n, dtype=np.float64)[:, None]
+        span = region_hi - region_lo
+        rows_lo = np.where(partition, region_lo + span * index / n, region_lo)
+        rows_hi = np.where(partition, region_lo + span * (index + 1) / n, region_hi)
+        components = Box.from_bounds(rows_lo[applicable].reshape(-1, width),
+                                     rows_hi[applicable].reshape(-1, width))
+
+        # Per-(decision, property) constants of the checked action: Δcwnd
+        # rows subtract cwnd_prev, fractional-change rows subtract and divide
+        # by the decision's concrete (P5 reference) window.
+        fraction = np.array([prop.kind is ActionKind.CWND_CHANGE_FRACTION for prop in props])
+        if fraction.any():
+            actions = self.actor.forward(states).reshape(n_decisions, -1)[:, 0]
+            reference = np.array([cwnd_from_action(float(action), float(tcp))
+                                  for action, tcp in zip(actions, cwnd_tcp)])[:, None]
+            offset = np.where(fraction, reference, cwnd_prev[:, None])
+            factor = np.where(fraction, 1.0 / reference, 1.0)
+        else:
+            offset = np.broadcast_to(cwnd_prev[:, None], applicable.shape)
+            factor = np.ones(applicable.shape)
+        allowed = [prop.allowed_interval() for prop in props]
+        allowed_lo = np.array([float(interval.lo) for interval in allowed])
+        allowed_hi = np.array([float(interval.hi) for interval in allowed])
+
+        def per_row(values: np.ndarray) -> np.ndarray:
+            """A (D, P) table spread to one value per applicable row."""
+            return np.repeat(np.broadcast_to(values, applicable.shape)[applicable], n)
+
+        action_box = propagate_mlp_batched(self.actor, components)
+        cwnd_box = transformers.clamp_min(
+            transformers.cwnd_from_action(action_box, per_row(cwnd_tcp[:, None])[:, None]), MIN_CWND)
+        checked = cwnd_box.shift(-per_row(offset)[:, None]).scale(per_row(factor)[:, None])
+        output_lo = checked.lo.reshape(-1)
+        output_hi = checked.hi.reshape(-1)
+        satisfied, feedback = interval_feedback_batch(
+            output_lo, output_hi, (per_row(allowed_lo), per_row(allowed_hi)))
+        input_lo = components.lo
+        input_hi = components.hi
+
+        certificates = []
+        row = 0
+        for i in range(n_decisions):
+            per_decision = []
+            for j, prop in enumerate(props):
+                if not applicable[i, j]:
+                    per_decision.append(QuantitativeCertificate(
+                        prop.name, allowed_lo[j], allowed_hi[j], applicable=False))
+                    continue
+                rows = slice(row, row + n)
+                row += n
+                per_decision.append(QuantitativeCertificate.from_columns(
+                    prop.name, allowed_lo[j], allowed_hi[j],
+                    input_lo=input_lo[rows], input_hi=input_hi[rows],
+                    output_lo=output_lo[rows], output_hi=output_hi[rows],
+                    satisfied=satisfied[rows], component_feedback=feedback[rows],
+                ))
+            certificates.append(per_decision)
+        return certificates
+
+    def _applicability(self, props, states: np.ndarray, observer: ObservationBuilder) -> np.ndarray:
+        """(D, P) mask of the (decision, property) pairs to certify."""
+        applicable = np.ones((states.shape[0], len(props)), dtype=bool)
+        if not self.config.check_applicability:
+            return applicable
+        history = states[:, observer.feature_indices("dcwnd")]
+        for j, prop in enumerate(props):
+            if prop.dcwnd_sign is not None and prop.dcwnd_sign < 0:
+                applicable[:, j] = np.all(history <= _SIGN_TOL, axis=1)
+            elif prop.dcwnd_sign is not None:
+                applicable[:, j] = np.all(history >= -_SIGN_TOL, axis=1)
+        return applicable
+
+    def _certify_state(self, props, state, cwnd_tcp, cwnd_prev, n_components, observer=None):
+        """The one-decision case of :meth:`certify_decisions`."""
+        state = np.asarray(state, dtype=np.float64).reshape(1, -1)
+        return self.certify_decisions(props, state, cwnd_tcp, cwnd_prev,
+                                      n_components=n_components, observer=observer)[0]
+
     def certify(
         self,
         prop: PropertySpec,
@@ -125,54 +309,33 @@ class Verifier:
         n_components: Optional[int] = None,
         observer: Optional[ObservationBuilder] = None,
     ) -> QuantitativeCertificate:
-        """Produce the QC for one property at one decision step.
+        """Produce the QC for one property at one decision step."""
+        return self._certify_state([prop], state, cwnd_tcp, cwnd_prev, n_components, observer)[0]
 
-        All ``N`` components are propagated through the actor as one batched
-        box, so the per-property cost is a single IBP pass regardless of N.
-        """
-        observer = observer or self.observer
-        n = n_components or self.config.n_components
-        context = DecisionContext(np.asarray(state, dtype=np.float64), float(cwnd_tcp), float(cwnd_prev))
-        certificate = self._empty_certificate(prop)
+    def certify_all(
+        self,
+        properties: PropertySet | Sequence[PropertySpec],
+        state: np.ndarray,
+        cwnd_tcp: float,
+        cwnd_prev: float,
+        n_components: Optional[int] = None,
+    ) -> dict:
+        """QCs for every property in the set, keyed by property name, from one fused pass."""
+        props = list(properties)
+        certificates = self._certify_state(props, state, cwnd_tcp, cwnd_prev, n_components)
+        return {prop.name: certificate for prop, certificate in zip(props, certificates)}
 
-        if self.config.check_applicability:
-            if not self._applicability_from_state(prop, context.state, observer):
-                certificate.applicable = False
-                return certificate
-
-        components = self._components_batched(prop, context, observer, n)
-        cwnd_reference = self._cwnd_reference(prop, context)
-        output_lo, output_hi = self._checked_action_bounds_batched(prop, components, context, cwnd_reference)
-        satisfied, feedback = interval_feedback_batch(output_lo, output_hi, prop.allowed_interval())
-
-        input_lo = components.lo
-        input_hi = components.hi
-        for index in range(n):
-            certificate.components.append(ComponentCertificate(
-                index=index,
-                input_lo=input_lo[index].copy(),
-                input_hi=input_hi[index].copy(),
-                output_lo=float(output_lo[index]),
-                output_hi=float(output_hi[index]),
-                satisfied=bool(satisfied[index]),
-                feedback=float(feedback[index]),
-            ))
-        return certificate
-
-    def _empty_certificate(self, prop: PropertySpec) -> QuantitativeCertificate:
-        allowed = prop.allowed_interval()
-        return QuantitativeCertificate(
-            property_name=prop.name,
-            allowed_lo=float(allowed.lo),
-            allowed_hi=float(allowed.hi),
-        )
-
-    def _components_batched(
-        self, prop: PropertySpec, context: DecisionContext, observer: ObservationBuilder, n: int
-    ) -> Box:
-        region = prop.input_region(context.state, observer)
-        dims = prop.partition_dims(observer)
-        return region.split_batched(n, dims=dims if dims else None)
+    def verifier_feedback(
+        self,
+        properties: PropertySet | Sequence[PropertySpec],
+        state: np.ndarray,
+        cwnd_tcp: float,
+        cwnd_prev: float,
+        n_components: Optional[int] = None,
+    ) -> float:
+        """Weighted average QC feedback over a set of properties (r_verifier, Eq. 7)."""
+        props = list(properties)
+        return weighted_feedback(props, self._certify_state(props, state, cwnd_tcp, cwnd_prev, n_components))
 
     def _cwnd_reference(self, prop: PropertySpec, context: DecisionContext) -> Optional[float]:
         if prop.kind is ActionKind.CWND_CHANGE_FRACTION:
@@ -185,22 +348,8 @@ class Verifier:
             return True
         dcwnd_history = state[observer.feature_indices("dcwnd")]
         if prop.dcwnd_sign < 0:
-            return bool(np.all(dcwnd_history <= 1e-6))
-        return bool(np.all(dcwnd_history >= -1e-6))
-
-    def _checked_action_bounds_batched(
-        self, prop, components: Box, context: DecisionContext, cwnd_reference
-    ) -> tuple:
-        """Flat ``(N,)`` lower/upper bounds on the checked action, one IBP pass."""
-        action_box = propagate_mlp_batched(self.actor, components)
-        cwnd_box = transformers.cwnd_from_action(action_box, context.cwnd_tcp)
-        if prop.kind is ActionKind.DELTA_CWND:
-            checked = transformers.delta_cwnd(cwnd_box, context.cwnd_prev)
-        else:
-            checked = transformers.cwnd_change_fraction(cwnd_box, cwnd_reference)
-        # The action (and hence the checked quantity) is scalar per component;
-        # collapse the trailing 1-element axis.
-        return checked.lo.reshape(-1), checked.hi.reshape(-1)
+            return bool(np.all(dcwnd_history <= _SIGN_TOL))
+        return bool(np.all(dcwnd_history >= -_SIGN_TOL))
 
     # ------------------------------------------------------------------ #
     # Certification (scalar reference path, retained for differential tests)
@@ -221,26 +370,26 @@ class Verifier:
         1e-12 over randomized actors, properties and decision contexts.
         """
         observer = observer or self.observer
-        n = n_components or self.config.n_components
+        n = self._resolve_components(n_components)
         context = DecisionContext(np.asarray(state, dtype=np.float64), float(cwnd_tcp), float(cwnd_prev))
         allowed = prop.allowed_interval()
-        certificate = self._empty_certificate(prop)
 
         if self.config.check_applicability:
             if not self._applicability_from_state(prop, context.state, observer):
-                certificate.applicable = False
-                return certificate
+                return QuantitativeCertificate(prop.name, float(allowed.lo), float(allowed.hi),
+                                               applicable=False)
 
         region = prop.input_region(context.state, observer)
         dims = prop.partition_dims(observer)
         components = region.split(n, dims=dims if dims else None)
         cwnd_reference = self._cwnd_reference(prop, context)
 
+        certified = []
         for index, component in enumerate(components):
             output_interval = self._checked_action_bounds(prop, component, context, cwnd_reference)
             satisfied = allowed.contains_interval(output_interval)
             feedback = interval_feedback(output_interval, allowed)
-            certificate.components.append(ComponentCertificate(
+            certified.append(ComponentCertificate(
                 index=index,
                 input_lo=component.lo.copy(),
                 input_hi=component.hi.copy(),
@@ -249,11 +398,12 @@ class Verifier:
                 satisfied=bool(satisfied),
                 feedback=float(feedback),
             ))
-        return certificate
+        return QuantitativeCertificate(prop.name, float(allowed.lo), float(allowed.hi),
+                                       components=certified)
 
     def _checked_action_bounds(self, prop, component: Box, context: DecisionContext, cwnd_reference) -> Interval:
         action_box = propagate_mlp(self.actor, component)
-        cwnd_box = transformers.cwnd_from_action(action_box, context.cwnd_tcp)
+        cwnd_box = transformers.clamp_min(transformers.cwnd_from_action(action_box, context.cwnd_tcp), MIN_CWND)
         if prop.kind is ActionKind.DELTA_CWND:
             checked = transformers.delta_cwnd(cwnd_box, context.cwnd_prev)
         else:
@@ -288,46 +438,10 @@ class Verifier:
         n_components: Optional[int] = None,
     ) -> float:
         """Scalar-path counterpart of :meth:`verifier_feedback`."""
-        return self._aggregate_feedback(
-            properties, state, cwnd_tcp, cwnd_prev, n_components, self.certify_reference
-        )
-
-    # ------------------------------------------------------------------ #
-    # Aggregate feedback (Eq. 7)
-    # ------------------------------------------------------------------ #
-    def verifier_feedback(
-        self,
-        properties: PropertySet | Sequence[PropertySpec],
-        state: np.ndarray,
-        cwnd_tcp: float,
-        cwnd_prev: float,
-        n_components: Optional[int] = None,
-    ) -> float:
-        """Weighted average QC feedback over a set of properties (r_verifier)."""
-        return self._aggregate_feedback(properties, state, cwnd_tcp, cwnd_prev, n_components, self.certify)
-
-    def _aggregate_feedback(self, properties, state, cwnd_tcp, cwnd_prev, n_components, certify) -> float:
         props = list(properties)
         if not props:
             raise ValueError("need at least one property")
-        total = 0.0
-        weight_sum = 0.0
-        for prop in props:
-            certificate = certify(prop, state, cwnd_tcp, cwnd_prev, n_components=n_components)
-            total += prop.weight * certificate.feedback
-            weight_sum += prop.weight
-        return total / weight_sum
-
-    def certify_all(
-        self,
-        properties: PropertySet | Sequence[PropertySpec],
-        state: np.ndarray,
-        cwnd_tcp: float,
-        cwnd_prev: float,
-        n_components: Optional[int] = None,
-    ) -> dict:
-        """QCs for every property in the set, keyed by property name."""
-        return {
-            prop.name: self.certify(prop, state, cwnd_tcp, cwnd_prev, n_components=n_components)
-            for prop in properties
-        }
+        return weighted_feedback(props, [
+            self.certify_reference(prop, state, cwnd_tcp, cwnd_prev, n_components=n_components)
+            for prop in props
+        ])

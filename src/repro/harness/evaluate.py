@@ -310,20 +310,26 @@ def certificates_for_decisions(
 ) -> List[Dict[str, QuantitativeCertificate]]:
     """Per-decision certificates for every property in the set.
 
+    The run's whole decision list is certified in one engine call (see
+    :meth:`repro.core.verifier.Verifier.certify_decisions`).
+
     The previous enforced window for decision ``i`` is decision ``i-1``'s
     enforced window (the controller's initial window for the first decision),
     matching the Δcwnd definition of Table 3.
     """
-    all_certificates: List[Dict[str, QuantitativeCertificate]] = []
-    for index, decision in enumerate(decisions):
-        cwnd_prev = decisions[index - 1].cwnd_after if index > 0 else decision.cwnd_before
-        per_property = {}
-        for prop in properties:
-            per_property[prop.name] = verifier.certify(
-                prop, decision.state, decision.cwnd_tcp, cwnd_prev, n_components=n_components
-            )
-        all_certificates.append(per_property)
-    return all_certificates
+    if not decisions:
+        return []
+    props = list(properties)
+    cwnd_prev = [decisions[0].cwnd_before] + [decision.cwnd_after for decision in decisions[:-1]]
+    certificates = verifier.certify_decisions(
+        props,
+        np.stack([decision.state for decision in decisions]),
+        [decision.cwnd_tcp for decision in decisions],
+        cwnd_prev,
+        n_components=n_components,
+    )
+    return [{prop.name: certificate for prop, certificate in zip(props, per_decision)}
+            for per_decision in certificates]
 
 
 def evaluate_qcsat(

@@ -9,6 +9,10 @@ from repro.nn import make_actor
 from repro.orca.observations import ObservationBuilder, ObservationConfig
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line("markers", "slow: long-running end-to-end or multi-process test")
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

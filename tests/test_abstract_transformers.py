@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.abstract import transformers
 from repro.abstract.box import Box
 from repro.abstract.interval import Interval
+from repro.cc.base import MIN_CWND
+from repro.orca.agent import cwnd_from_action as controller_cwnd
 
 
 class TestElementwise:
@@ -98,3 +100,28 @@ def test_cwnd_map_soundness(a, b, t, cwnd_tcp):
     concrete_cwnd = 2.0 ** (2 * concrete_action) * cwnd_tcp
     abstract = transformers.cwnd_from_action(action_box, cwnd_tcp)
     assert abstract.contains([concrete_cwnd], tol=1e-6 * max(1.0, concrete_cwnd))
+
+
+@given(
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(1.0, 500.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_floored_cwnd_map_matches_controller(a, b, t, cwnd_tcp):
+    """cwnd_from_action + clamp_min(MIN_CWND) contains the controller's own window."""
+    lo, hi = min(a, b), max(a, b)
+    action_box = Box.from_bounds([lo], [hi])
+    concrete_cwnd = controller_cwnd(lo + t * (hi - lo), cwnd_tcp)
+    abstract = transformers.clamp_min(transformers.cwnd_from_action(action_box, cwnd_tcp), MIN_CWND)
+    assert abstract.contains([concrete_cwnd], tol=1e-6 * max(1.0, concrete_cwnd))
+    assert abstract.lo[0] >= MIN_CWND - 1e-12
+
+
+def test_clamp_min_leaves_unbound_rows_untouched():
+    box = Box(np.array([[5.0], [1.0]]), np.array([[1.0], [2.0]]))
+    clamped = transformers.clamp_min(box, 2.0)
+    assert clamped.center[0, 0] == 5.0 and clamped.deviation[0, 0] == 1.0
+    assert clamped.lo[1, 0] == pytest.approx(2.0)
+    assert clamped.hi[1, 0] == pytest.approx(3.0)

@@ -51,6 +51,14 @@ def test_certify_command_reports_qcsat(capsys):
     assert "QC_sat" in out
 
 
+@pytest.mark.parametrize("components", ["0", "-3"])
+def test_certify_command_rejects_non_positive_components(components, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["certify", "--components", components])
+    assert excinfo.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_figure_command_unknown_id():
     with pytest.raises(SystemExit):
         main(["figure", "99"])

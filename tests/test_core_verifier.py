@@ -42,6 +42,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             VerifierConfig(n_components=0)
 
+    @pytest.mark.parametrize("n_components", [0, -2])
+    def test_non_positive_components_rejected(self, verifier, state, n_components):
+        """0 is an error, not a request for the configured default."""
+        with pytest.raises(ValueError):
+            verifier.certify(property_p1(), state, 20.0, 20.0, n_components=n_components)
+        with pytest.raises(ValueError):
+            verifier.certify_reference(property_p1(), state, 20.0, 20.0, n_components=n_components)
+        with pytest.raises(ValueError):
+            verifier.certify_decisions([property_p1()], state[None, :], [20.0], [20.0],
+                                       n_components=n_components)
+
     def test_invalid_context(self, verifier, state):
         with pytest.raises(ValueError):
             verifier.certify(property_p1(), state, cwnd_tcp=0.0, cwnd_prev=10.0)

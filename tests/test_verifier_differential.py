@@ -1,6 +1,8 @@
 """Differential tests: the batched certification engine vs the scalar reference.
 
-``Verifier.certify`` propagates all N components as one batched box;
+``Verifier.certify_decisions`` propagates every (decision, property,
+component) row of a call in row-budget passes, and ``certify``,
+``certify_all`` and ``verifier_feedback`` are its one-decision cases;
 ``Verifier.certify_reference`` retains the original one-component-at-a-time
 path.  Over randomized (MLP shape, property, decision context) draws the two
 must produce numerically identical certificates — same proofs, same Eq. 6
@@ -20,7 +22,7 @@ from repro.core.properties import (
     property_p4_case_ii,
     property_p5,
 )
-from repro.core.verifier import Verifier, VerifierConfig
+from repro.core.verifier import ROW_BUDGET, Verifier, VerifierConfig
 from repro.nn import make_actor
 from repro.orca.observations import ObservationConfig
 
@@ -120,3 +122,47 @@ def test_certify_differential_with_applicability_gating():
         batched = verifier.certify(factory(), gated_state, cwnd_tcp, cwnd_prev)
         reference = verifier.certify_reference(factory(), gated_state, cwnd_tcp, cwnd_prev)
         assert_certificates_identical(batched, reference)
+
+
+def random_decisions(rng, observer, n_decisions, mixed_history=False):
+    """Per-decision states and windows; ``mixed_history`` flips the past-Δcwnd
+    sign of every other decision so applicability gating differs by row."""
+    states = rng.uniform(0.0, 1.0, (n_decisions, observer.state_dim))
+    if mixed_history:
+        states[::2, observer.feature_indices("dcwnd")] *= -1.0
+    cwnd_tcp = rng.uniform(5.0, 200.0, n_decisions)
+    cwnd_prev = rng.uniform(5.0, 200.0, n_decisions)
+    return states, cwnd_tcp, cwnd_prev
+
+
+@pytest.mark.parametrize("seed,layout,gating", [
+    *[(seed, "few", False) for seed in range(N_SEEDS)],
+    *[(seed, "passes", False) for seed in range(4)],
+    *[(seed, "passes", True) for seed in range(4)],
+])
+def test_certify_decisions_differential(seed, layout, gating):
+    """The decision-batched entry == certify_reference per (decision, property).
+
+    All six properties are mixed in one call, every decision has its own
+    ``cwnd_tcp``/``cwnd_prev``, and the ``passes`` layout certifies enough
+    decisions to span three row-budget passes.
+    """
+    obs_config, actor, _, _, _, n = random_setup(seed + 4000)
+    rng = np.random.default_rng(seed + 5000)
+    verifier = Verifier(actor, obs_config, VerifierConfig(n_components=n, check_applicability=gating))
+    properties = [factory() for factory in PROPERTY_FACTORIES]
+    per_pass = max(1, ROW_BUDGET // (len(properties) * n))
+    n_decisions = 2 * per_pass + 1 if layout == "passes" else int(rng.integers(2, 6))
+    states, cwnd_tcp, cwnd_prev = random_decisions(rng, verifier.observer, n_decisions,
+                                                   mixed_history=gating)
+
+    batched = verifier.certify_decisions(properties, states, cwnd_tcp, cwnd_prev)
+    assert len(batched) == n_decisions
+    for i, per_decision in enumerate(batched):
+        assert len(per_decision) == len(properties)
+        for prop, certificate in zip(properties, per_decision):
+            reference = verifier.certify_reference(prop, states[i], cwnd_tcp[i], cwnd_prev[i])
+            assert_certificates_identical(certificate, reference)
+    if gating:
+        applicable = [certificate.applicable for per_decision in batched for certificate in per_decision]
+        assert any(applicable) and not all(applicable)

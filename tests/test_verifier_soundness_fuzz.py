@@ -5,15 +5,16 @@ component, the concretely computed checked action (Δcwnd for the direction
 properties, the fractional cwnd change for robustness) must lie inside that
 component's certified ``[output_lo, output_hi]`` interval.
 
-``cwnd_tcp`` is drawn from [10, 100] so the concrete cwnd map's MIN_CWND
-clamp (``max(MIN_CWND, 2^(2a)·cwnd_tcp)`` with a >= -1) can never bind —
-inside that regime the concrete map coincides exactly with the abstract
-transformer the verifier uses.
+``cwnd_tcp`` is drawn from [MIN_CWND, 100], a quarter of the draws exactly
+at MIN_CWND.  The concrete cwnd map's floor (``max(MIN_CWND,
+2^(2a)·cwnd_tcp)``) binds wherever ``2^(2a)·cwnd_tcp`` falls below it, so
+the certified interval is sound only if the verifier lifts that floor too.
 """
 
 import numpy as np
 import pytest
 
+from repro.cc.base import MIN_CWND
 from repro.core.properties import (
     property_p1,
     property_p2,
@@ -47,7 +48,9 @@ def random_verifier(seed, n_components):
     actor = make_actor(obs_config.state_dim, hidden_sizes=hidden_sizes, rng=rng)
     verifier = Verifier(actor, obs_config, VerifierConfig(n_components=n_components))
     state = rng.uniform(0.0, 1.0, obs_config.state_dim)
-    cwnd_tcp = float(rng.uniform(10.0, 100.0))
+    # A quarter of the draws sit on the floor itself, where any negative
+    # action makes the clamp bind.
+    cwnd_tcp = MIN_CWND if rng.random() < 0.25 else float(rng.uniform(MIN_CWND, 100.0))
     cwnd_prev = float(rng.uniform(10.0, 100.0))
     return rng, verifier, actor, state, cwnd_tcp, cwnd_prev
 
