@@ -11,20 +11,20 @@ All quantities use these units throughout the simulator:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
+
+# Defined next to the Mbps <-> packets/s conversions (the traces layer sits
+# below the simulator) and re-exported here with the other units.
+from repro.traces.trace import MSS_BYTES
 
 __all__ = ["TickFeedback", "CongestionController", "MIN_CWND", "MSS_BYTES"]
 
 #: Minimum congestion window enforced for every controller (packets).
 MIN_CWND = 2.0
 
-#: Maximum-segment size assumed when converting Mbps to packets/second.
-MSS_BYTES = 1500
 
-
-@dataclass(frozen=True)
-class TickFeedback:
-    """Per-tick feedback delivered to a controller by its flow.
+class TickFeedback(NamedTuple):
+    """Per-tick feedback delivered to a controller by its flow (immutable).
 
     Attributes:
         now: Simulation time (seconds) at the end of the tick.

@@ -23,31 +23,29 @@ convention the one-hop differential pins keep bit-identical).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque
+from typing import Deque, NamedTuple
 
 from repro.cc.base import CongestionController, TickFeedback
 
 __all__ = ["Flow", "TickRecord"]
 
+_INF = float("inf")
 
-@dataclass
-class _AckEvent:
+
+class _AckEvent(NamedTuple):
     time: float
     packets: float
     rtt: float
     queuing_delay: float
 
 
-@dataclass
-class _LossEvent:
+class _LossEvent(NamedTuple):
     time: float
     packets: float
 
 
-@dataclass(frozen=True)
-class TickRecord:
-    """Everything the flow observed during one simulator tick."""
+class TickRecord(NamedTuple):
+    """Everything the flow observed during one simulator tick (immutable)."""
 
     time: float
     sent: float
@@ -140,7 +138,7 @@ class Flow:
         if rate is None:
             # Window-limited senders still pace a window per RTT to avoid
             # emitting the whole window in a single tick.
-            rtt_estimate = self.srtt if self.srtt > 0 else (self.min_rtt if self.min_rtt < float("inf") else prop_rtt)
+            rtt_estimate = self.srtt if self.srtt > 0 else (self.min_rtt if self.min_rtt < _INF else prop_rtt)
             rate = self.controller.cwnd / max(rtt_estimate, 1e-3)
         self._pacing_credit = min(self._pacing_credit + rate * dt, max(rate * dt * 4, 1.0))
         allowance = min(window_room, self._pacing_credit)
@@ -255,28 +253,13 @@ class Flow:
         else:
             rtt = 0.0
             delay = 0.0
-        feedback = TickFeedback(
-            now=now,
-            dt=dt,
-            acked=self._tick_acked,
-            lost=self._tick_lost,
-            rtt=rtt,
-            min_rtt=self.min_rtt if self.min_rtt < float("inf") else 0.0,
-            queuing_delay=delay,
-            inflight=self.inflight,
-            delivery_rate=self.delivery_rate,
-        )
+        # Both records are built positionally, in their declared field order.
+        feedback = TickFeedback(now, dt, self._tick_acked, self._tick_lost, rtt,
+                                self.min_rtt if self.min_rtt < _INF else 0.0,
+                                delay, self.inflight, self.delivery_rate)
         if self.is_active(now):
             self.controller.on_tick(feedback)
-        record = TickRecord(
-            time=now,
-            sent=self._tick_sent,
-            acked=self._tick_acked,
-            lost=self._tick_lost,
-            rtt=rtt,
-            queuing_delay=delay,
-            cwnd=self.controller.cwnd,
-            inflight=self.inflight,
-        )
+        record = TickRecord(now, self._tick_sent, self._tick_acked, self._tick_lost, rtt,
+                            delay, self.controller.cwnd, self.inflight)
         self._reset_tick()
         return record

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -24,16 +24,15 @@ from repro.traces.trace import BandwidthTrace
 __all__ = ["BottleneckLink", "DeliveredChunk"]
 
 
-@dataclass(frozen=True)
-class DeliveredChunk:
-    """A chunk of packets that left the bottleneck queue this tick."""
+class DeliveredChunk(NamedTuple):
+    """A chunk of packets that left the bottleneck queue this tick (immutable)."""
 
     flow_id: int
     packets: float
     queuing_delay: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _QueuedChunk:
     flow_id: int
     packets: float
@@ -166,9 +165,10 @@ class BottleneckLink:
         if dt <= 0:
             raise ValueError("dt must be positive")
         budget = self.capacity_pps(now) * dt + self._drain_credit
+        queue = self._queue
         delivered: List[DeliveredChunk] = []
-        while budget > 1e-12 and self._queue:
-            chunk = self._queue[0]
+        while budget > 1e-12 and queue:
+            chunk = queue[0]
             take = min(chunk.packets, budget)
             queuing_delay = chunk.carried_delay + max(0.0, now - chunk.enqueue_time)
             delivered.append(DeliveredChunk(chunk.flow_id, take, queuing_delay))
@@ -177,10 +177,10 @@ class BottleneckLink:
             budget -= take
             self.total_delivered += take
             if chunk.packets <= 1e-12:
-                self._queue.popleft()
+                queue.popleft()
         # Unused capacity does not carry over when the queue is empty (a link
         # cannot save transmission opportunities for later).
-        self._drain_credit = budget if self._queue else 0.0
+        self._drain_credit = budget if queue else 0.0
         return delivered
 
     def per_flow_occupancy(self) -> Dict[int, float]:

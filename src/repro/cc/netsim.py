@@ -25,6 +25,19 @@ topology and reproduces the legacy single-link trajectory exactly (pinned by
 (:class:`repro.cc.flow.Flow` lifetimes); ``SimulationResult.lifetimes``
 records each flow's active window.
 
+The tick loop is the hot path of every experiment, so it does no lookups it
+can do once.  Each hop's drain capacity comes from its trace's precomputed
+per-segment table through a monotone segment cursor
+(:meth:`~repro.traces.trace.BandwidthTrace.capacity_pps`; a tick that stays
+in the same segment costs two float comparisons, a segment change one
+``bisect``), bit-identical to the ``np.searchsorted`` lookup it replaced.
+Routes are resolved when the simulator is built: per flow, the entry queue,
+path RTT and ack delay; per hop, maps keyed by flow id to the successor hop
+and to the loss-notification delay.  Per-tick records (``TickRecord``,
+``TickFeedback``, ``DeliveredChunk``, ``TransitChunk``) are named tuples.
+The exact-bit trajectory digests in ``tests/test_tick_engine_pins.py`` pin
+every family × classical scheme.
+
 Two consumption styles are supported:
 
 * ``run(duration)`` — run the whole experiment and return a
@@ -47,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +72,15 @@ from repro.telemetry.profiler import TickProfiler
 __all__ = ["NetworkSimulator", "FlowStats", "MonitorReport", "SimulationResult"]
 
 DEFAULT_TICK = 0.01
+
+
+class _Route(NamedTuple):
+    """Per-flow route constants, resolved once at construction."""
+
+    queue: BottleneckLink   # the entry hop's FIFO
+    hop: str                # the entry hop's name (telemetry attribution)
+    rtt: float              # end-to-end propagation RTT (seconds)
+    ack_delay: float        # return delay left after the forward transit shares
 
 
 @dataclass
@@ -208,12 +230,12 @@ class NetworkSimulator:
                                                     for fid, flow in self.flows.items()}
         self._tick_count = 0
 
-        # Route resolution, fixed for the simulator's lifetime: entry hop and
-        # path RTT per flow, plus a (flow, hop) -> successor map used by the
-        # drain loop to forward or deliver each chunk.  The delay split is
-        # precomputed per route: the ack delay left after the forward transit
-        # shares, and — per hop a flow can be dropped at — the return delay a
-        # loss notification needs to travel back from there.
+        # Route resolution, fixed for the simulator's lifetime, so the tick
+        # loop does no route lookups of its own: per flow, a _Route of
+        # constants (entry queue, path RTT, ack delay); per hop, maps keyed by
+        # flow id from a chunk leaving the hop to its successor hop's name
+        # (None where the route ends) and from a chunk dropped entering the
+        # hop to its loss-notification delay.
         from repro.topology.transit import TransitQueue
 
         self._telemetry = telemetry
@@ -227,11 +249,11 @@ class NetworkSimulator:
         self._transit = TransitQueue(telemetry=telemetry)
         self._ordered_links = self.topology.ordered_links
         self._bottleneck_trace = self.topology.bottleneck.queue.trace
-        self._entry_link: Dict[int, "Link"] = {}
-        self._route_rtt: Dict[int, float] = {}
-        self._next_hop: Dict[Tuple[int, str], Optional["Link"]] = {}
-        self._ack_delay: Dict[int, float] = {}
-        self._drop_notify_delay: Dict[Tuple[int, str], float] = {}
+        self._routes: Dict[int, _Route] = {}
+        self._next_hop: Dict[str, Dict[int, Optional[str]]] = {
+            link.name: {} for link in self._ordered_links}
+        self._drop_notify_delay: Dict[str, Dict[int, float]] = {
+            link.name: {} for link in self._ordered_links}
         for fid in self.flows:
             self._register_route(fid, self.topology.route_links(fid))
         self._cross_sources = list(self.topology.cross_traffic)
@@ -241,11 +263,15 @@ class NetworkSimulator:
             self._register_route(source.flow_id,
                                  [self.topology.links[name] for name in source.path])
             self.cross_stats[source.flow_id] = {"offered": 0.0, "delivered": 0.0, "dropped": 0.0}
+        # The drain pass, one entry per hop in topological order: name, FIFO,
+        # forward delay share, and the hop's two per-flow maps.
+        self._drain_plan = [
+            (link.name, link.queue, 0.5 * link.delay,
+             self._next_hop[link.name], self._drop_notify_delay[link.name])
+            for link in self._ordered_links]
 
     def _register_route(self, flow_id: int, route) -> None:
-        self._entry_link[flow_id] = route[0]
         rtt = sum(link.delay for link in route)
-        self._route_rtt[flow_id] = rtt
         # Delay split: forwarding out of a non-terminal hop charges that hop's
         # forward share (delay / 2) in transit; whatever the forward path did
         # not charge is the ack's return delay, so ack time stays one full
@@ -255,11 +281,11 @@ class NetworkSimulator:
         incurred = 0.0
         for index, link in enumerate(route):
             successor = route[index + 1] if index + 1 < len(route) else None
-            self._next_hop[(flow_id, link.name)] = successor
-            self._drop_notify_delay[(flow_id, link.name)] = incurred
+            self._next_hop[link.name][flow_id] = None if successor is None else successor.name
+            self._drop_notify_delay[link.name][flow_id] = incurred
             if successor is not None:
                 incurred += 0.5 * link.delay
-        self._ack_delay[flow_id] = rtt - incurred
+        self._routes[flow_id] = _Route(route[0].queue, route[0].name, rtt, rtt - incurred)
 
     @staticmethod
     def _fresh_acc() -> Dict[str, float]:
@@ -271,7 +297,7 @@ class NetworkSimulator:
     # ------------------------------------------------------------------ #
     def path_rtt(self, flow_id: int) -> float:
         """End-to-end propagation RTT of ``flow_id``'s route (seconds)."""
-        return self._route_rtt[flow_id]
+        return self._routes[flow_id].rtt
 
     def hop_occupancy(self) -> Dict[str, float]:
         """Queued packets per hop (for multi-bottleneck diagnostics)."""
@@ -322,18 +348,18 @@ class NetworkSimulator:
         # 0. Cross-traffic sources offer their load at their entry hops (they
         # are already "on the wire", so they contend before this tick's
         # sender packets).
+        routes = self._routes
         for source in self._cross_sources:
             offered = source.generator.rate_pps(now) * dt
             if offered > 0:
-                _, dropped, random_lost = self._entry_link[source.flow_id].queue.enqueue(
-                    source.flow_id, offered, now)
+                route = routes[source.flow_id]
+                _, dropped, random_lost = route.queue.enqueue(source.flow_id, offered, now)
                 counters = self.cross_stats[source.flow_id]
                 counters["offered"] += offered
                 lost = dropped + random_lost
                 counters["dropped"] += lost
                 if tel is not None and lost > 0:
-                    tel.emit("queue_drop", hop=self._entry_link[source.flow_id].name,
-                             flow=source.flow_id, packets=lost)
+                    tel.emit("queue_drop", hop=route.hop, flow=source.flow_id, packets=lost)
         if prof is not None:
             prof.mark("inject")
 
@@ -347,15 +373,15 @@ class NetworkSimulator:
         for position in range(n_flows):
             flow = flow_list[(offset + position) % n_flows]
             fid = flow.flow_id
-            prop_rtt = self._route_rtt[fid]
+            route = routes[fid]
+            prop_rtt = route.rtt
             allowance = flow.send_allowance(now, dt, prop_rtt)
             if allowance > 0:
-                accepted, dropped, random_lost = self._entry_link[fid].queue.enqueue(
-                    fid, allowance, now)
+                accepted, dropped, random_lost = route.queue.enqueue(fid, allowance, now)
                 flow.record_sent(accepted, dropped, random_lost, now, prop_rtt)
                 if tel is not None and dropped + random_lost > 0:
-                    tel.emit("queue_drop", hop=self._entry_link[fid].name,
-                             flow=fid, packets=dropped + random_lost)
+                    tel.emit("queue_drop", hop=route.hop, flow=fid,
+                             packets=dropped + random_lost)
         self._tick_count += 1
         if prof is not None:
             prof.mark("enqueue")
@@ -370,66 +396,60 @@ class NetworkSimulator:
         # the remaining return-path delay, so end-to-end ack time is the
         # summed path RTT plus accumulated queuing — unchanged.
         flows = self.flows
-        next_hop = self._next_hop
         transit = self._transit
-        drop_delay = self._drop_notify_delay
-        for link in self._ordered_links:
-            link_name = link.name
+        for link_name, queue, half_delay, next_hop, drop_delay in self._drain_plan:
             if prof is not None:
                 t0 = perf_counter()
                 arriving_chunks = transit.arrivals(link_name, now)
                 prof.add("transit", perf_counter() - t0)
             else:
                 arriving_chunks = transit.arrivals(link_name, now)
-            for arriving in arriving_chunks:
-                fid = arriving.flow_id
-                _, dropped, random_lost = link.queue.enqueue(
-                    fid, arriving.packets, now, carried_delay=arriving.queuing_delay)
+            for fid, packets, carried_delay, _ in arriving_chunks:
+                _, dropped, random_lost = queue.enqueue(fid, packets, now,
+                                                        carried_delay=carried_delay)
                 lost = dropped + random_lost
                 if lost > 0:
                     flow = flows.get(fid)
                     if flow is not None:
-                        flow.record_transit_drop(lost, now, drop_delay[(fid, link_name)])
+                        flow.record_transit_drop(lost, now, drop_delay[fid])
                     else:
                         self.cross_stats[fid]["dropped"] += lost
                     if tel is not None:
                         tel.emit("transit_drop", hop=link_name, flow=fid, packets=lost)
-            deliveries = link.queue.drain(now, dt)
-            if not deliveries:
-                continue
-            half_delay = 0.5 * link.delay
-            for chunk in deliveries:
-                successor = next_hop[(chunk.flow_id, link_name)]
+            for fid, packets, queuing_delay in queue.drain(now, dt):
+                successor = next_hop[fid]
                 if successor is None:
-                    flow = flows.get(chunk.flow_id)
+                    flow = flows.get(fid)
                     if flow is not None:
-                        flow.record_delivery(chunk.packets, chunk.queuing_delay, now,
-                                             self._route_rtt[chunk.flow_id],
-                                             ack_delay=self._ack_delay[chunk.flow_id])
+                        route = routes[fid]
+                        flow.record_delivery(packets, queuing_delay, now, route.rtt,
+                                             ack_delay=route.ack_delay)
                     else:
-                        self.cross_stats[chunk.flow_id]["delivered"] += chunk.packets
+                        self.cross_stats[fid]["delivered"] += packets
                 else:
-                    transit.send(successor.name, chunk.flow_id, chunk.packets,
-                                 chunk.queuing_delay, now + half_delay)
+                    transit.send(successor, fid, packets, queuing_delay, now + half_delay)
         if prof is not None:
             prof.mark("drain")
 
         # 3. Each flow consumes due ack/loss events and updates its controller.
         end_of_tick = now + dt
         records: Dict[int, TickRecord] = {}
-        for fid, flow in self.flows.items():
+        stats = self.stats
+        monitor_acc = self._monitor_acc
+        for fid, flow in flows.items():
             flow.process_events(end_of_tick, dt)
             record = flow.finish_tick(end_of_tick, dt)
-            self.stats[fid].append(record)
+            stats[fid].records.append(record)
             records[fid] = record
-            acc = self._monitor_acc[fid]
-            acc["acked"] += record.acked
+            acc = monitor_acc[fid]
+            acked = record.acked
+            acc["acked"] += acked
             acc["lost"] += record.lost
             acc["sent"] += record.sent
-            if record.acked > 0:
-                acc["delay_weighted"] += record.queuing_delay * record.acked
-                acc["rtt_weighted"] += record.rtt * record.acked
-                acc["ack_weight"] += record.acked
+            if acked > 0:
+                acc["delay_weighted"] += record.queuing_delay * acked
+                acc["rtt_weighted"] += record.rtt * acked
+                acc["ack_weight"] += acked
 
         self._capacity_log.append(self._bottleneck_trace.capacity_mbps(now))
         self._time_log.append(end_of_tick)
@@ -510,7 +530,7 @@ class NetworkSimulator:
             n_acks=acked,
             interval=interval,
             srtt=flow.srtt,
-            min_rtt=flow.min_rtt if flow.min_rtt < float("inf") else self._route_rtt[flow_id],
+            min_rtt=flow.min_rtt if flow.min_rtt < float("inf") else self._routes[flow_id].rtt,
             avg_rtt=acc["rtt_weighted"] / weight if weight > 0 else flow.srtt,
             cwnd=flow.controller.cwnd,
             sent_pps=acc["sent"] / interval,

@@ -72,13 +72,30 @@ def debug(event: str, logger: Optional[str] = None, **fields) -> None:
     _log(logging.DEBUG, event, logger, fields)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler bound to whatever ``sys.stderr`` is at emit time.
+
+    Binding the object ``sys.stderr`` happens to be at configure time breaks
+    once a caller swaps and closes that stream (pytest's capture does,
+    after every test): later records would hit a closed file.
+    """
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def configure(verbosity: int = 0, stream=None) -> logging.Logger:
     """Install a stderr handler on the ``repro`` logger at the given level.
 
     ``verbosity``: ``-1`` (``--quiet``) → ERROR, ``0`` → WARNING (default),
     ``1`` (``--verbose``) → INFO, ``>= 2`` → DEBUG.  Re-configuring replaces
     the previously installed handler (idempotent across CLI invocations in
-    one process, e.g. the test suite).
+    one process, e.g. the test suite).  Without a ``stream`` the handler
+    writes to the current ``sys.stderr`` each time it emits.
     """
     level = {-1: logging.ERROR, 0: logging.WARNING, 1: logging.INFO}.get(
         max(-1, min(verbosity, 2)), logging.DEBUG)
@@ -86,7 +103,7 @@ def configure(verbosity: int = 0, stream=None) -> logging.Logger:
     for handler in list(logger.handlers):
         if getattr(handler, "_repro_installed", False):
             logger.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = logging.StreamHandler(stream) if stream is not None else _StderrHandler()
     handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
     handler._repro_installed = True
     logger.addHandler(handler)

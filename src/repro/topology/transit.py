@@ -32,8 +32,7 @@ in flight`` at every tick.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.telemetry.events import EventTrace
 
@@ -42,9 +41,8 @@ __all__ = ["TransitChunk", "TransitQueue"]
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class TransitChunk:
-    """A chunk of packets propagating between two hops."""
+class TransitChunk(NamedTuple):
+    """A chunk of packets propagating between two hops (immutable)."""
 
     flow_id: int
     packets: float
@@ -83,9 +81,11 @@ class TransitQueue:
         """Put a forwarded chunk on the wire towards hop ``dest``."""
         if packets <= 0:
             return
-        chunk = TransitChunk(flow_id, packets, queuing_delay, eligible_time)
-        heapq.heappush(self._pending.setdefault(dest, []),
-                       (eligible_time, self._seq, chunk))
+        heap = self._pending.get(dest)
+        if heap is None:
+            heap = self._pending[dest] = []
+        heapq.heappush(heap, (eligible_time, self._seq,
+                              TransitChunk(flow_id, packets, queuing_delay, eligible_time)))
         self._seq += 1
         self._occupancy += packets
         tel = self._telemetry

@@ -4,19 +4,30 @@ A :class:`BandwidthTrace` is a piecewise-constant capacity schedule: a list of
 (segment duration, capacity in Mbps) pairs.  Lookup is by simulation time and
 wraps around (loops) when the simulation outlives the trace, matching how
 Mahimahi replays its packet-delivery trace files.
+
+Lookups sit on the simulator's hot path (one per hop per tick), so the trace
+freezes its segments at construction and answers from precomputed tables:
+per-segment Mbps and packets/s, the cumulative segment boundaries, and a
+segment cursor that remembers the last answer.  A query that lands in the
+cursor's segment costs two float comparisons; any other falls back to
+:func:`bisect.bisect_right` over the boundaries and moves the cursor.  The
+result is bit-identical to an ``np.searchsorted(side="right") - 1`` lookup.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cc.base import MSS_BYTES
+__all__ = ["BandwidthTrace", "read_mahimahi_trace", "write_mahimahi_trace", "mbps_to_pps",
+           "pps_to_mbps", "MSS_BYTES"]
 
-__all__ = ["BandwidthTrace", "read_mahimahi_trace", "write_mahimahi_trace", "mbps_to_pps", "pps_to_mbps"]
+#: Maximum-segment size assumed when converting Mbps to packets/second.
+MSS_BYTES = 1500
 
 
 def mbps_to_pps(mbps: float) -> float:
@@ -35,25 +46,38 @@ class BandwidthTrace:
 
     Attributes:
         name: Human-readable identifier (used in reports).
-        segments: Sequence of ``(duration_seconds, capacity_mbps)`` pairs.
+        segments: ``(duration_seconds, capacity_mbps)`` pairs, frozen into a
+            tuple of float pairs at construction.
         loop: Whether lookups past the end wrap around to the beginning.
+
+    Equality compares ``name``, ``segments`` and ``loop`` only; the lookup
+    tables derived from them are neither compared nor shown in ``repr``.
     """
 
     name: str
     segments: Sequence[Tuple[float, float]]
     loop: bool = True
-    _cum: np.ndarray = field(init=False, repr=False)
+    _cum: List[float] = field(init=False, repr=False, compare=False)
+    _mbps: List[float] = field(init=False, repr=False, compare=False)
+    _pps: List[float] = field(init=False, repr=False, compare=False)
+    _duration: float = field(init=False, repr=False, compare=False)
+    _cursor: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("trace must have at least one segment")
         for duration, mbps in self.segments:
-            if duration <= 0:
+            if not duration > 0:
                 raise ValueError("segment durations must be positive")
             if mbps < 0:
                 raise ValueError("capacities must be non-negative")
+        self.segments = tuple((float(duration), float(mbps)) for duration, mbps in self.segments)
         durations = np.array([seg[0] for seg in self.segments], dtype=np.float64)
-        self._cum = np.concatenate([[0.0], np.cumsum(durations)])
+        self._cum = np.concatenate([[0.0], np.cumsum(durations)]).tolist()
+        self._mbps = [mbps for _, mbps in self.segments]
+        self._pps = [mbps_to_pps(mbps) for mbps in self._mbps]
+        self._duration = self._cum[-1]
+        self._cursor = 0
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -74,7 +98,7 @@ class BandwidthTrace:
     @property
     def duration(self) -> float:
         """Total trace length in seconds."""
-        return float(self._cum[-1])
+        return self._duration
 
     @property
     def mean_mbps(self) -> float:
@@ -89,21 +113,28 @@ class BandwidthTrace:
     def max_mbps(self) -> float:
         return max(mbps for _, mbps in self.segments)
 
-    def capacity_mbps(self, time: float) -> float:
-        """Capacity (Mbps) at simulation time ``time``."""
+    def _segment(self, time: float) -> int:
+        """Index of the segment in force at ``time`` (loop modulo applied)."""
         if time < 0:
             raise ValueError("time must be non-negative")
-        if self.loop and self.duration > 0:
-            time = time % self.duration
-        elif time >= self.duration:
-            return float(self.segments[-1][1])
-        index = int(np.searchsorted(self._cum, time, side="right")) - 1
-        index = min(max(index, 0), len(self.segments) - 1)
-        return float(self.segments[index][1])
+        if self.loop:
+            time = time % self._duration
+        elif time >= self._duration:
+            return len(self._mbps) - 1
+        cum = self._cum
+        index = self._cursor
+        if not cum[index] <= time < cum[index + 1]:
+            index = min(max(bisect_right(cum, time) - 1, 0), len(self._mbps) - 1)
+            self._cursor = index
+        return index
+
+    def capacity_mbps(self, time: float) -> float:
+        """Capacity (Mbps) at simulation time ``time``."""
+        return self._mbps[self._segment(time)]
 
     def capacity_pps(self, time: float) -> float:
         """Capacity at ``time`` in packets per second."""
-        return mbps_to_pps(self.capacity_mbps(time))
+        return self._pps[self._segment(time)]
 
     def sample(self, dt: float, duration: float | None = None) -> np.ndarray:
         """Capacity samples (Mbps) every ``dt`` seconds for ``duration`` seconds."""

@@ -385,3 +385,34 @@ class TestRender:
     def test_event_groups_cover_vocabulary(self):
         grouped = {kind for kinds in EVENT_GROUPS.values() for kind in kinds}
         assert grouped == set(EVENT_KINDS) - {"topology"}
+
+
+class TestLog:
+    def test_warn_after_captured_stderr_is_closed(self, monkeypatch):
+        """The handler follows ``sys.stderr``; a closed capture is not reused."""
+        import io
+        import sys
+
+        from repro.telemetry.log import configure, warn
+
+        captured = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", captured)
+        configure()
+        captured.close()
+        replacement = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", replacement)
+        warn("late_warning", packets=3)
+        assert replacement.getvalue() == "repro: late_warning packets=3\n"
+
+    def test_explicit_stream_is_kept(self):
+        import io
+
+        from repro.telemetry.log import configure, warn
+
+        stream = io.StringIO()
+        configure(stream=stream)
+        try:
+            warn("to_stream", hop="hop1")
+            assert stream.getvalue() == "repro: to_stream hop=hop1\n"
+        finally:
+            configure()

@@ -58,6 +58,35 @@ class TestBandwidthTrace:
     def test_unit_conversion_round_trip(self):
         assert pps_to_mbps(mbps_to_pps(48.0)) == pytest.approx(48.0)
 
+    def test_equal_traces_compare_equal(self):
+        segments = [(0.5, 12.0), (1.5, 24.0), (1.0, 6.0)]
+        trace = BandwidthTrace("steps", segments)
+        assert trace == BandwidthTrace("steps", list(segments))
+        # int-valued and tuple-typed segments freeze to the same float pairs
+        assert BandwidthTrace("ints", [(1, 10), (2, 20)]) == BandwidthTrace(
+            "ints", ((1.0, 10.0), (2.0, 20.0)))
+        # lookups move the segment cursor; equality ignores it
+        trace.capacity_mbps(2.5)
+        assert trace == BandwidthTrace("steps", segments)
+
+    def test_unequal_traces_compare_unequal(self):
+        trace = BandwidthTrace("steps", [(0.5, 12.0), (1.5, 24.0)])
+        assert trace != BandwidthTrace("other", [(0.5, 12.0), (1.5, 24.0)])
+        assert trace != BandwidthTrace("steps", [(0.5, 12.0), (1.5, 25.0)])
+        assert trace != BandwidthTrace("steps", [(0.5, 12.0), (1.5, 24.0)], loop=False)
+        assert trace != BandwidthTrace("steps", [(0.5, 12.0)])
+
+    def test_scaled_copies_compare_by_value(self):
+        trace = BandwidthTrace("steps", [(0.5, 12.0), (1.5, 24.0), (1.0, 6.0)])
+        assert trace.scaled(1.0, name="steps") == trace
+        assert trace.scaled(2.0) == trace.scaled(2.0)
+        assert trace.scaled(2.0) != trace.scaled(3.0)
+        assert trace.scaled(2.0, name="steps") != trace
+
+    def test_repr_shows_only_the_declared_fields(self):
+        text = repr(BandwidthTrace("steps", [(0.5, 12.0), (1.5, 24.0)]))
+        assert text == "BandwidthTrace(name='steps', segments=((0.5, 12.0), (1.5, 24.0)), loop=True)"
+
     def test_bdp_packets(self):
         trace = BandwidthTrace.constant(12.0)
         bdp = trace.bdp_packets(0.1)
