@@ -25,6 +25,18 @@ propagates all ``N`` boxes at once.  :meth:`Box.stack` builds a batched box
 from per-component boxes, :meth:`Box.split_batched` partitions a 1-d box into
 its ``N`` QC components directly in batched form, and :meth:`Box.unstack`
 recovers the per-component view.
+
+Construction
+------------
+
+The public constructor ``Box(center, deviation)`` validates and copies: it
+converts both arguments to float64, broadcasts them, rejects a negative (or
+NaN) deviation beyond a 1e-12 tolerance, clamps the tolerated negative
+round-off to zero and stores fresh copies.  The transformers below build
+their results through :meth:`Box._trusted`, which runs the same deviation
+check and clamp but skips the conversion, broadcast and copies; it falls
+back to the public constructor whenever the two arrays are not float64 of
+equal shape (``shift`` by a broadcasting offset, for instance).
 """
 
 from __future__ import annotations
@@ -39,6 +51,12 @@ from repro.abstract.interval import Interval
 __all__ = ["Box"]
 
 
+def _check_deviation(deviation: np.ndarray) -> None:
+    # Phrased so that a NaN deviation fails the comparison too.
+    if not (deviation >= -1e-12).all():
+        raise ValueError("box deviation must be non-negative (and not NaN)")
+
+
 @dataclass(frozen=True)
 class Box:
     """Box abstract value: ``center ± deviation`` element-wise."""
@@ -50,10 +68,27 @@ class Box:
         center = np.asarray(self.center, dtype=np.float64)
         deviation = np.asarray(self.deviation, dtype=np.float64)
         center, deviation = np.broadcast_arrays(center, deviation)
-        if np.any(deviation < -1e-12):
-            raise ValueError("box deviation must be non-negative")
+        _check_deviation(deviation)
         object.__setattr__(self, "center", np.array(center, dtype=np.float64))
         object.__setattr__(self, "deviation", np.array(np.maximum(deviation, 0.0), dtype=np.float64))
+
+    @classmethod
+    def _trusted(cls, center: np.ndarray, deviation: np.ndarray) -> "Box":
+        """Wrap a freshly computed center and deviation without copying them.
+
+        ``center`` and ``deviation`` must be float64 arrays of equal shape, and
+        ``center`` must not be mutated afterwards; anything else goes through
+        the public constructor.  The deviation check and clamp still run.
+        """
+        if (type(center) is not np.ndarray or type(deviation) is not np.ndarray
+                or center.dtype != np.float64 or deviation.dtype != np.float64
+                or center.shape != deviation.shape):
+            return cls(center, deviation)
+        _check_deviation(deviation)
+        box = object.__new__(cls)
+        object.__setattr__(box, "center", center)
+        object.__setattr__(box, "deviation", np.maximum(deviation, 0.0))
+        return box
 
     # ------------------------------------------------------------------ #
     # Constructors / conversions
@@ -65,7 +100,7 @@ class Box:
 
     @classmethod
     def from_interval(cls, interval: Interval) -> "Box":
-        return cls(interval.center, interval.deviation)
+        return cls._trusted(interval.center, interval.deviation)
 
     @classmethod
     def from_bounds(cls, lo, hi) -> "Box":
@@ -95,7 +130,7 @@ class Box:
 
     def to_interval(self) -> Interval:
         """The concretization bounds γ(s#) as an interval."""
-        return Interval(self.center - self.deviation, self.center + self.deviation)
+        return Interval._trusted(self.center - self.deviation, self.center + self.deviation)
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -144,7 +179,7 @@ class Box:
             deviation = np.abs(weight) @ self.deviation
         if bias is not None:
             center = center + np.asarray(bias, dtype=np.float64)
-        return Box(center, deviation)
+        return Box._trusted(center, deviation)
 
     def add_elements(self, target: int, lhs: int, rhs: int) -> "Box":
         """The paper's 'Add' transformer.
@@ -163,19 +198,20 @@ class Box:
         """ReLU transformer from Section 3.2 (midpoint/half-width of end-point images)."""
         upper = np.maximum(self.center + self.deviation, 0.0)
         lower = np.maximum(self.center - self.deviation, 0.0)
-        return Box((upper + lower) / 2.0, (upper - lower) / 2.0)
+        return Box._trusted((upper + lower) / 2.0, (upper - lower) / 2.0)
 
     def tanh(self) -> "Box":
         upper = np.tanh(self.center + self.deviation)
         lower = np.tanh(self.center - self.deviation)
-        return Box((upper + lower) / 2.0, (upper - lower) / 2.0)
+        return Box._trusted((upper + lower) / 2.0, (upper - lower) / 2.0)
 
     def scale(self, factor) -> "Box":
         factor = np.asarray(factor, dtype=np.float64)
-        return Box(self.center * factor, self.deviation * np.abs(factor))
+        return Box._trusted(self.center * factor, self.deviation * np.abs(factor))
 
     def shift(self, offset) -> "Box":
-        return Box(self.center + np.asarray(offset, dtype=np.float64), self.deviation.copy())
+        # _trusted stores a fresh clamped deviation, so sharing self.deviation is safe.
+        return Box._trusted(self.center + np.asarray(offset, dtype=np.float64), self.deviation)
 
     def join(self, other: "Box") -> "Box":
         """Least upper bound (box hull) of two boxes."""

@@ -10,6 +10,18 @@ Intervals are the user-facing face of the box domain (Section 3.2 of the
 Canopy paper): a :class:`repro.abstract.box.Box` is just the (center,
 deviation) encoding of the same object, convenient for IBP through affine
 layers.
+
+Construction
+------------
+
+The public constructor ``Interval(lo, hi)`` is the validating boundary: it
+converts its arguments to float64, broadcasts them against each other, copies
+them, and rejects ``lo > hi`` (beyond a 1e-12 tolerance) and NaN bounds.
+Code that has just computed both bounds as fresh float64 arrays of equal
+shape — the box transformers, the verifier engine — goes through
+:meth:`Interval._trusted` instead, which keeps the order check but skips the
+conversion, broadcast and copies, and falls back to the public constructor
+on any shape or dtype mismatch.
 """
 
 from __future__ import annotations
@@ -28,6 +40,12 @@ def _as_array(value: ArrayLike) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+def _check_order(lo: np.ndarray, hi: np.ndarray) -> None:
+    # Phrased so that a NaN bound fails the comparison too.
+    if not (lo <= hi + 1e-12).all():
+        raise ValueError(f"Interval lower bound exceeds upper bound or is NaN: lo={lo}, hi={hi}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed interval ``[lo, hi]``, element-wise over numpy arrays."""
@@ -39,10 +57,26 @@ class Interval:
         lo = _as_array(self.lo)
         hi = _as_array(self.hi)
         lo, hi = np.broadcast_arrays(lo, hi)
-        if np.any(lo > hi + 1e-12):
-            raise ValueError(f"Interval lower bound exceeds upper bound: lo={lo}, hi={hi}")
+        _check_order(lo, hi)
         object.__setattr__(self, "lo", np.array(lo, dtype=np.float64))
         object.__setattr__(self, "hi", np.array(hi, dtype=np.float64))
+
+    @classmethod
+    def _trusted(cls, lo: np.ndarray, hi: np.ndarray) -> "Interval":
+        """Wrap freshly computed bounds without converting or copying them.
+
+        ``lo`` and ``hi`` must be float64 arrays of equal shape that no one
+        else will mutate; anything else goes through the public constructor.
+        The order (and NaN) check still runs.
+        """
+        if (type(lo) is not np.ndarray or type(hi) is not np.ndarray
+                or lo.dtype != np.float64 or hi.dtype != np.float64 or lo.shape != hi.shape):
+            return cls(lo, hi)
+        _check_order(lo, hi)
+        interval = object.__new__(cls)
+        object.__setattr__(interval, "lo", lo)
+        object.__setattr__(interval, "hi", hi)
+        return interval
 
     # ------------------------------------------------------------------ #
     # Constructors

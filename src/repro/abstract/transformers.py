@@ -11,6 +11,11 @@ of the paper, Canopy needs a transformer for the post-network cwnd computation
 property postconditions (Δcwnd and the fractional cwnd change of P5), including
 the controller's ``MIN_CWND`` floor on the window.
 
+Results are built with the trusted internal constructors
+(:meth:`Box._trusted`, :meth:`Interval._trusted`): the arrays they wrap were
+just computed here, so the public constructors' conversion, broadcast and
+copies would only repeat work; the deviation/order check still runs.
+
 All transformers are batch-transparent: handed a batched box (``lo``/``hi`` of
 shape ``(N, d)``, see :mod:`repro.abstract.box`) they transform all ``N``
 component boxes in the same numpy calls, which is what makes the batched
@@ -80,7 +85,7 @@ def monotone(box: Box, fn: Callable[[np.ndarray], np.ndarray]) -> Box:
     """
     upper = fn(box.hi)
     lower = fn(box.lo)
-    return Box((upper + lower) / 2.0, (upper - lower) / 2.0)
+    return Box._trusted((upper + lower) / 2.0, (upper - lower) / 2.0)
 
 
 def exp2(box: Box) -> Box:
@@ -107,7 +112,7 @@ def cwnd_from_action(action: Box, cwnd_tcp, action_clip: tuple[float, float] = (
     if np.any(cwnd_tcp < 0):
         raise ValueError("cwnd_tcp must be non-negative")
     lo_a, hi_a = action_clip
-    clipped = Box.from_bounds(np.clip(action.lo, lo_a, hi_a), np.clip(action.hi, lo_a, hi_a))
+    clipped = Box.from_interval(Interval._trusted(np.clip(action.lo, lo_a, hi_a), np.clip(action.hi, lo_a, hi_a)))
     doubled = scale(clipped, 2.0)
     gain = exp2(doubled)
     return scale(gain, cwnd_tcp)
@@ -125,8 +130,8 @@ def clamp_min(box: Box, floor: float) -> Box:
         return box
     upper = np.maximum(box.hi, floor)
     lower = np.maximum(lo, floor)
-    return Box(np.where(binds, (upper + lower) / 2.0, box.center),
-               np.where(binds, (upper - lower) / 2.0, box.deviation))
+    return Box._trusted(np.where(binds, (upper + lower) / 2.0, box.center),
+                        np.where(binds, (upper - lower) / 2.0, box.deviation))
 
 
 def delta_cwnd(cwnd: Box, cwnd_prev: float) -> Box:

@@ -202,22 +202,24 @@ class PropertySpec:
             raise ValueError(f"states have shape {states.shape}, expected (D, {observer.state_dim})")
         lo = states.copy()
         hi = states.copy()
+        # Feature columns as strided slices: basic indexing, no gather.
         if self.kind is ActionKind.CWND_CHANGE_FRACTION:
-            idx = [i for feature in self.noise_features for i in observer.feature_indices(feature)]
-            low_value = states[:, idx] * (1.0 - self.noise_mu)
-            high_value = states[:, idx] * (1.0 + self.noise_mu)
-            lo[:, idx] = np.minimum(low_value, high_value)
-            hi[:, idx] = np.maximum(low_value, high_value)
+            for feature in self.noise_features:
+                cols = observer.feature_columns(feature)
+                low_value = states[:, cols] * (1.0 - self.noise_mu)
+                high_value = states[:, cols] * (1.0 + self.noise_mu)
+                lo[:, cols] = np.minimum(low_value, high_value)
+                hi[:, cols] = np.maximum(low_value, high_value)
             return lo, hi
         if self.delay_range is not None:
-            idx = observer.feature_indices("delay")
-            lo[:, idx], hi[:, idx] = self.delay_range
+            cols = observer.feature_columns("delay")
+            lo[:, cols], hi[:, cols] = self.delay_range
         if self.loss_range is not None:
-            idx = observer.feature_indices("loss")
-            lo[:, idx], hi[:, idx] = self.loss_range
+            cols = observer.feature_columns("loss")
+            lo[:, cols], hi[:, cols] = self.loss_range
         if self.dcwnd_sign is not None:
-            idx = observer.feature_indices("dcwnd")
-            lo[:, idx], hi[:, idx] = (-1.0, 0.0) if self.dcwnd_sign < 0 else (0.0, 1.0)
+            cols = observer.feature_columns("dcwnd")
+            lo[:, cols], hi[:, cols] = (-1.0, 0.0) if self.dcwnd_sign < 0 else (0.0, 1.0)
         return lo, hi
 
     # ------------------------------------------------------------------ #

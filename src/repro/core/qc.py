@@ -23,6 +23,7 @@ per-component :class:`ComponentCertificate` view is built only on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,7 +119,8 @@ class QuantitativeCertificate:
     ``(N,)``.  The certification engine hands in views of the rows of one
     propagation pass (see :mod:`repro.core.verifier`), so building a
     certificate copies nothing; :attr:`feedback`, :attr:`satisfied_fraction`,
-    :attr:`proof` and :meth:`output_bounds` read the columns directly.
+    :attr:`proof` and :meth:`output_bounds` read the columns directly
+    (:attr:`feedback` once, then cached: the columns are read-only).
     :class:`ComponentCertificate` objects are built only when
     :attr:`components` is read.
 
@@ -208,7 +210,7 @@ class QuantitativeCertificate:
             )
         return self._components
 
-    @property
+    @cached_property
     def feedback(self) -> float:
         """QC feedback: mean of the per-component smoothed feedback (Eq. 6)."""
         if not self.n_components:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import CanopyConfig
-from repro.core.properties import ActionKind
+from repro.core.properties import ActionKind, PropertySpec
 from repro.core.reward import CanopyRewardShaper
 from repro.core.verifier import Verifier, VerifierConfig
 from repro.nn.optim import Adam
@@ -128,6 +128,22 @@ class TrainingResult:
         }
 
 
+def _sampling_bounds(prop: PropertySpec, state: np.ndarray, observer) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` of ``prop``'s input region around ``state``, shape ``(1, d)``.
+
+    The bounds the region box reports, ``center ∓ deviation``: the arithmetic
+    of ``prop.input_region(state, observer).to_interval()`` without building
+    the Box and Interval.  The round trip is kept on purpose — for P5's
+    relative perturbation ``center − deviation`` differs from the raw lower
+    bound in the last bit for a few percent of states, and the regularization
+    samples must not move.
+    """
+    lo, hi = prop.input_region_bounds(state[None, :], observer)
+    center = (lo + hi) / 2.0
+    deviation = np.maximum((hi - lo) / 2.0, 0.0)
+    return center - deviation, center + deviation
+
+
 class CanopyTrainer:
     """Trains one Canopy (or Orca-baseline) model."""
 
@@ -150,7 +166,7 @@ class CanopyTrainer:
         # its gradients do not disturb the TD3 actor optimizer's Adam moments.
         reg_lr = canopy_config.td3.actor_lr * max(canopy_config.lam, 0.0) * self.trainer_config.regularization_strength
         self._reg_optimizer = (
-            Adam(self.agent.actor.parameters(), self.agent.actor.grads(), lr=reg_lr) if reg_lr > 0 else None
+            Adam.for_model(self.agent.actor, lr=reg_lr) if reg_lr > 0 else None
         )
         self._reg_rng = np.random.default_rng(canopy_config.seed + 977)
 
@@ -181,9 +197,8 @@ class CanopyTrainer:
         actor.zero_grad()
         accumulated = False
         for prop in self.canopy_config.properties:
-            region = prop.input_region(state, observer).to_interval()
-            span = region.hi - region.lo
-            samples = region.lo + self._reg_rng.random((n_samples, region.lo.shape[0])) * span
+            lo, hi = _sampling_bounds(prop, state, observer)
+            samples = lo + self._reg_rng.random((n_samples, lo.shape[1])) * (hi - lo)
             if prop.kind is ActionKind.DELTA_CWND:
                 outputs = actor.forward(samples)
                 threshold = 0.5 * np.log2(max(cwnd_prev, 1e-6) / max(cwnd_tcp, 1e-6))

@@ -80,6 +80,9 @@ __all__ = ["ROW_BUDGET", "VerifierConfig", "Verifier", "weighted_feedback"]
 #: N=50) a pass holds five decisions.
 ROW_BUDGET = 512
 
+#: Most cached certification plans per verifier; the cache is emptied when full.
+_PLAN_CACHE_SIZE = 64
+
 #: Tolerance of the concrete sign side-conditions on past Δcwnd.
 _SIGN_TOL = 1e-6
 
@@ -120,6 +123,45 @@ class DecisionContext:
             raise ValueError("cwnd_tcp must be positive")
 
 
+@dataclass(frozen=True)
+class _CertifyPlan:
+    """The constants of one engine pass that depend only on (properties,
+    observer, state width, N), built once and reused by every pass.
+
+    Attributes:
+        partition: ``(1, P, 1, d)`` mask of each property's partition dims
+            (every dim when a property partitions none).
+        index: ``(N, 1)`` component index column ``0 .. N-1``.
+        fraction: ``(P,)`` flags of the fractional-change (P5) properties.
+        allowed_lo: ``(P,)`` lower bounds of the allowed regions.
+        allowed_hi: ``(P,)`` upper bounds of the allowed regions.
+    """
+
+    partition: np.ndarray
+    index: np.ndarray
+    fraction: np.ndarray
+    allowed_lo: np.ndarray
+    allowed_hi: np.ndarray
+
+    @classmethod
+    def build(cls, props, observer: ObservationBuilder, width: int, n: int) -> "_CertifyPlan":
+        partition = np.zeros((len(props), width), dtype=bool)
+        for j, prop in enumerate(props):
+            dims = prop.partition_dims(observer)
+            partition[j, dims if dims else slice(None)] = True
+        allowed = [prop.allowed_interval() for prop in props]
+        plan = cls(
+            partition=partition[None, :, None, :],
+            index=np.arange(n, dtype=np.float64)[:, None],
+            fraction=np.array([prop.kind is ActionKind.CWND_CHANGE_FRACTION for prop in props]),
+            allowed_lo=np.array([float(interval.lo) for interval in allowed]),
+            allowed_hi=np.array([float(interval.hi) for interval in allowed]),
+        )
+        for array in vars(plan).values():
+            array.flags.writeable = False
+        return plan
+
+
 def weighted_feedback(properties: Sequence[PropertySpec],
                       certificates: Sequence[QuantitativeCertificate]) -> float:
     """Eq. 7: the weight-averaged QC feedback of one decision's certificates."""
@@ -143,6 +185,7 @@ class Verifier:
         self.actor = actor
         self.observer = ObservationBuilder(observation_config)
         self.config = config or VerifierConfig()
+        self._plans: dict = {}
 
     # ------------------------------------------------------------------ #
     # Concrete helpers
@@ -191,8 +234,8 @@ class Verifier:
         if states.ndim != 2:
             raise ValueError(f"states must have shape (D, d), got {states.shape}")
         n_decisions = states.shape[0]
-        cwnd_tcp = np.broadcast_to(np.asarray(cwnd_tcp, dtype=np.float64), (n_decisions,))
-        cwnd_prev = np.broadcast_to(np.asarray(cwnd_prev, dtype=np.float64), (n_decisions,))
+        cwnd_tcp = np.full(n_decisions, np.asarray(cwnd_tcp, dtype=np.float64))
+        cwnd_prev = np.full(n_decisions, np.asarray(cwnd_prev, dtype=np.float64))
         if not np.all(cwnd_tcp > 0):
             raise ValueError("cwnd_tcp must be positive")
 
@@ -208,31 +251,26 @@ class Verifier:
         """One propagation pass over every (decision, property, component) row."""
         n_decisions, width = states.shape
         applicable = self._applicability(props, states, observer)
+        plan = self._plan(props, observer, width, n)
+        allowed_lo, allowed_hi, fraction = plan.allowed_lo, plan.allowed_hi, plan.fraction
 
         # Input regions, (D, P, 1, d), as the region boxes store them.
         bounds = [prop.input_region_bounds(states, observer) for prop in props]
-        region = Box.from_bounds(np.stack([lo for lo, _ in bounds], axis=1),
-                                 np.stack([hi for _, hi in bounds], axis=1))
+        region = Box.from_interval(Interval._trusted(np.stack([lo for lo, _ in bounds], axis=1),
+                                                     np.stack([hi for _, hi in bounds], axis=1)))
         region_lo = region.lo[:, :, None, :]
         region_hi = region.hi[:, :, None, :]
         # Component split: the arithmetic of Box.split_batched, along each
         # property's partition dims, for every region at once -> (D, P, N, d).
-        partition = np.zeros((len(props), width), dtype=bool)
-        for j, prop in enumerate(props):
-            dims = prop.partition_dims(observer)
-            partition[j, dims if dims else slice(None)] = True
-        partition = partition[None, :, None, :]
-        index = np.arange(n, dtype=np.float64)[:, None]
         span = region_hi - region_lo
-        rows_lo = np.where(partition, region_lo + span * index / n, region_lo)
-        rows_hi = np.where(partition, region_lo + span * (index + 1) / n, region_hi)
-        components = Box.from_bounds(rows_lo[applicable].reshape(-1, width),
-                                     rows_hi[applicable].reshape(-1, width))
+        rows_lo = np.where(plan.partition, region_lo + span * plan.index / n, region_lo)
+        rows_hi = np.where(plan.partition, region_lo + span * (plan.index + 1) / n, region_hi)
+        components = Box.from_interval(Interval._trusted(rows_lo[applicable].reshape(-1, width),
+                                                         rows_hi[applicable].reshape(-1, width)))
 
         # Per-(decision, property) constants of the checked action: Δcwnd
         # rows subtract cwnd_prev, fractional-change rows subtract and divide
         # by the decision's concrete (P5 reference) window.
-        fraction = np.array([prop.kind is ActionKind.CWND_CHANGE_FRACTION for prop in props])
         if fraction.any():
             actions = self.actor.forward(states).reshape(n_decisions, -1)[:, 0]
             reference = np.array([cwnd_from_action(float(action), float(tcp))
@@ -240,15 +278,17 @@ class Verifier:
             offset = np.where(fraction, reference, cwnd_prev[:, None])
             factor = np.where(fraction, 1.0 / reference, 1.0)
         else:
-            offset = np.broadcast_to(cwnd_prev[:, None], applicable.shape)
-            factor = np.ones(applicable.shape)
-        allowed = [prop.allowed_interval() for prop in props]
-        allowed_lo = np.array([float(interval.lo) for interval in allowed])
-        allowed_hi = np.array([float(interval.hi) for interval in allowed])
+            offset = cwnd_prev[:, None]
+            factor = 1.0
+        # The (decision, property) cell of every applicable row, C order.
+        row_cells = np.repeat(np.flatnonzero(applicable), n)
 
-        def per_row(values: np.ndarray) -> np.ndarray:
-            """A (D, P) table spread to one value per applicable row."""
-            return np.repeat(np.broadcast_to(values, applicable.shape)[applicable], n)
+        def per_row(values) -> np.ndarray:
+            """A (D, P) table, or anything broadcastable to one, spread to one
+            value per applicable row."""
+            table = np.empty(applicable.shape)
+            table[...] = values
+            return table.reshape(-1)[row_cells]
 
         action_box = propagate_mlp_batched(self.actor, components)
         cwnd_box = transformers.clamp_min(
@@ -280,6 +320,24 @@ class Verifier:
                 ))
             certificates.append(per_decision)
         return certificates
+
+    def _plan(self, props, observer: ObservationBuilder, width: int, n: int) -> "_CertifyPlan":
+        """The cached :class:`_CertifyPlan` of ``props`` under ``observer``.
+
+        Keyed by the identities of the properties and the observer.  An entry
+        holds the keyed objects and a hit must match them by identity, so a
+        recycled id (or a cache carried into another process) can never hand
+        out another property set's plan.
+        """
+        key = (id(observer), width, n, *map(id, props))
+        entry = self._plans.get(key)
+        if (entry is None or entry[0] is not observer
+                or not all(held is prop for held, prop in zip(entry[1], props))):
+            if len(self._plans) >= _PLAN_CACHE_SIZE:
+                self._plans.clear()
+            entry = (observer, tuple(props), _CertifyPlan.build(props, observer, width, n))
+            self._plans[key] = entry
+        return entry[2]
 
     def _applicability(self, props, states: np.ndarray, observer: ObservationBuilder) -> np.ndarray:
         """(D, P) mask of the (decision, property) pairs to certify."""

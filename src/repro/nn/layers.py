@@ -24,6 +24,13 @@ from repro.nn import init as initializers
 __all__ = ["Layer", "Dense", "ReLU", "Tanh", "Identity", "Sequential"]
 
 
+def _as_batch(x) -> np.ndarray:
+    """``np.atleast_2d(np.asarray(x, dtype=float64))``, skipped for a 2-d float64 array."""
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
+
 class Layer:
     """Base class for all layers."""
 
@@ -81,7 +88,7 @@ class Dense(Layer):
         return self.weight.shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = _as_batch(x)
         self._cached_input = x
         return x @ self.weight.T + self.bias
 
@@ -150,7 +157,7 @@ class Sequential(Layer):
         self.layers: List[Layer] = list(layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        out = _as_batch(x)
         for layer in self.layers:
             out = layer.forward(out)
         return out

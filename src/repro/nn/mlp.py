@@ -4,10 +4,25 @@ The architectures follow Orca's agent: two hidden layers with ReLU
 activations; the actor ends with a tanh squashing the coarse-grained action
 into ``[-1, 1]`` (Eq. 1 of the paper then maps it to a cwnd multiplier), and
 the critics end with a linear head producing a scalar Q-value.
+
+Flat parameter buffers
+----------------------
+
+An :class:`MLP` keeps all of its weights and biases in one contiguous float64
+buffer (:attr:`MLP.param_buffer`) and all of its gradients in a second one
+(:attr:`MLP.grad_buffer`); every :class:`~repro.nn.layers.Dense` array is a
+view into them, each starting on a 64-byte boundary (zero padding between
+arrays).  Whole-network operations then cost one set of ufunc calls instead
+of one per array: ``Adam.for_model`` steps the buffer, ``zero_grad`` is one
+``fill`` and the Polyak target update is one expression over the buffer.
+Element-wise arithmetic gives the same bits whatever the memory layout, so
+training is bit-identical to per-array updates.  Code that touches layer
+arrays must update them in place (``param[...] = value``) to keep the views.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 import numpy as np
@@ -22,6 +37,22 @@ _ACTIVATIONS = {
     "linear": Identity,
     "identity": Identity,
 }
+
+#: Buffer offsets are rounded up to this many float64 elements (64 bytes).
+_ALIGN = 8
+
+
+def _padded(size: int) -> int:
+    return -(-size // _ALIGN) * _ALIGN
+
+
+def _blank_like(layer: Layer) -> Layer:
+    """A layer of the same kind without arrays or caches (``MLP._bind`` supplies them)."""
+    if isinstance(layer, Dense):
+        blank = Dense.__new__(Dense)
+        blank._cached_input = None
+        return blank
+    return type(layer)()
 
 
 class MLP(Sequential):
@@ -60,6 +91,40 @@ class MLP(Sequential):
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
 
+        initial = self.parameters()
+        self._shapes = [param.shape for param in initial]
+        size = sum(_padded(param.size) for param in initial)
+        self._bind(np.zeros(size), np.zeros(size))
+        for view, value in zip(self.parameters(), initial):
+            view[...] = value
+
+    def _bind(self, param_buffer: np.ndarray, grad_buffer: np.ndarray) -> None:
+        """Adopt the two flat buffers and point every Dense layer's weight,
+        bias and gradients at views of them."""
+        self.param_buffer = param_buffer
+        self.grad_buffer = grad_buffer
+        views = []
+        offset = 0
+        for shape in self._shapes:
+            size = math.prod(shape)
+            views.append((param_buffer[offset:offset + size].reshape(shape),
+                          grad_buffer[offset:offset + size].reshape(shape)))
+            offset += _padded(size)
+        views = iter(views)
+        for layer in self.layers:
+            if isinstance(layer, Dense):
+                layer.weight, layer.grad_weight = next(views)
+                layer.bias, layer.grad_bias = next(views)
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickling and deepcopy store every view as an array of its own; point
+        # the layers back into the (restored) buffers.
+        self.__dict__.update(state)
+        self._bind(self.param_buffer, self.grad_buffer)
+
+    def zero_grad(self) -> None:
+        self.grad_buffer.fill(0.0)
+
     # ------------------------------------------------------------------ #
     # Parameter (de)serialization — used for target-network updates.
     # ------------------------------------------------------------------ #
@@ -79,22 +144,19 @@ class MLP(Sequential):
         """Polyak averaging ``θ ← τ θ_src + (1−τ) θ`` (target network update)."""
         if not 0.0 <= tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        for target_param, source_param in zip(self.parameters(), source.parameters()):
-            target_param[...] = tau * source_param + (1.0 - tau) * target_param
+        if self._shapes != source._shapes:
+            raise ValueError("soft update between networks of different architectures")
+        np.add(tau * source.param_buffer, (1.0 - tau) * self.param_buffer, out=self.param_buffer)
 
     def copy_from(self, source: "MLP") -> None:
         self.soft_update_from(source, tau=1.0)
 
     def clone(self) -> "MLP":
-        """A structural copy with identical weights (independent storage)."""
-        other = MLP(
-            self.in_features,
-            self.hidden_sizes,
-            self.out_features,
-            hidden_activation=self.hidden_activation,
-            output_activation=self.output_activation,
-        )
-        other.set_weights(self.get_weights())
+        """A structural copy with identical weights (independent storage, no RNG draw)."""
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__)
+        other.layers = [_blank_like(layer) for layer in self.layers]
+        other._bind(self.param_buffer.copy(), np.zeros_like(self.grad_buffer))
         return other
 
 

@@ -23,7 +23,13 @@ class Optimizer:
 
     @classmethod
     def for_model(cls, model, lr: float, **kwargs) -> "Optimizer":
-        """Build an optimizer bound to a :class:`repro.nn.layers.Sequential`."""
+        """Build an optimizer bound to a :class:`repro.nn.layers.Sequential`.
+
+        An :class:`repro.nn.mlp.MLP` is stepped through its flat parameter and
+        gradient buffers, as one array.
+        """
+        if hasattr(model, "param_buffer"):
+            return cls([model.param_buffer], [model.grad_buffer], lr=lr, **kwargs)
         return cls(model.parameters(), model.grads(), lr=lr, **kwargs)
 
     def step(self) -> None:
@@ -52,7 +58,8 @@ class SGD(Optimizer):
 
     def step(self) -> None:
         for param, grad, velocity in zip(self.parameters, self.grads, self._velocity):
-            velocity[...] = self.momentum * velocity - self.lr * grad
+            velocity *= self.momentum
+            velocity -= self.lr * grad
             param += velocity
 
 
@@ -83,8 +90,14 @@ class Adam(Optimizer):
         bias1 = 1.0 - self.beta1 ** self._t
         bias2 = 1.0 - self.beta2 ** self._t
         for param, grad, m, v in zip(self.parameters, self.grads, self._m, self._v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * grad
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * grad ** 2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # In-place forms of m = β1·m + (1−β1)·g, v = β2·v + (1−β2)·g² and
+            # θ −= lr·m̂ / (√v̂ + ε): the same operations on the same operands.
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad ** 2
+            update = self.lr * (m / bias1)
+            denominator = np.sqrt(v / bias2)
+            denominator += self.eps
+            update /= denominator
+            param -= update

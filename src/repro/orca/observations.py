@@ -141,6 +141,13 @@ class ObservationBuilder:
             indices.append(step * dim + offset)
         return indices
 
+    def feature_columns(self, name: str) -> slice:
+        """:meth:`feature_indices` over all ``k`` history steps, as a strided slice."""
+        if name not in _FEATURE_INDEX:
+            raise KeyError(f"unknown feature {name!r}; known: {FEATURE_NAMES}")
+        dim = self.config.feature_dim
+        return slice(_FEATURE_INDEX[name], self.config.history_len * dim, dim)
+
     def feature_history(self, name: str) -> np.ndarray:
         """Values of a named feature over the past ``k`` steps, newest first."""
         state = self.state()

@@ -145,6 +145,24 @@ class TestInputRegions:
             assert box.lo[idx] == pytest.approx(0.45)
             assert box.hi[idx] == pytest.approx(0.55)
 
+    @pytest.mark.parametrize("history_len", [1, 3, 5])
+    def test_batched_bounds_match_the_per_state_loop(self, history_len):
+        """``input_region_bounds`` (strided feature columns) against the
+        per-index loop of ``input_region``, bit for bit, row by row."""
+        from repro.abstract.box import Box
+
+        observer = ObservationBuilder(ObservationConfig(history_len=history_len))
+        states = np.random.default_rng(history_len).uniform(-1.0, 1.0, size=(6, observer.state_dim))
+        props = list(all_properties()) + [
+            property_p5(mu=0.2, noise_features=("delay", "loss", "throughput"))]
+        for prop in props:
+            lo, hi = prop.input_region_bounds(states, observer)
+            for row, state in enumerate(states):
+                expected = prop.input_region(state, observer)
+                got = Box.from_bounds(lo[row], hi[row])
+                assert got.center.tobytes() == expected.center.tobytes()
+                assert got.deviation.tobytes() == expected.deviation.tobytes()
+
     def test_region_rejects_wrong_state_dim(self, observer):
         with pytest.raises(ValueError):
             property_p1().input_region(np.zeros(3), observer)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import CanopyConfig
-from repro.core.trainer import CanopyTrainer, TrainerConfig
+from repro.core.properties import all_properties
+from repro.core.trainer import CanopyTrainer, TrainerConfig, _sampling_bounds
+from repro.orca.observations import ObservationBuilder
 
 
 def make_trainer(kind="shallow", **overrides):
@@ -101,3 +103,24 @@ class TestTraining:
     def test_robust_training_runs(self):
         result = make_trainer("robust", total_steps=40, log_every=20).train()
         assert len(result.history) == 2
+
+
+class TestRegularizationSamplingBounds:
+    def test_bounds_equal_the_region_box_bit_for_bit(self):
+        """The sampling bounds are the region box's ``center ∓ deviation``,
+        exactly as ``input_region(...).to_interval()`` reports them."""
+        observer = ObservationBuilder()
+        rng = np.random.default_rng(5)
+        raw_differs = False
+        for _ in range(200):
+            state = rng.uniform(0.0, 1.0, size=observer.state_dim)
+            for prop in all_properties():
+                lo, hi = _sampling_bounds(prop, state, observer)
+                region = prop.input_region(state, observer).to_interval()
+                assert lo.shape == hi.shape == (1, observer.state_dim)
+                assert lo[0].tobytes() == region.lo.tobytes()
+                assert hi[0].tobytes() == region.hi.tobytes()
+                raw_lo, _ = prop.input_region_bounds(state[None, :], observer)
+                raw_differs |= raw_lo.tobytes() != lo.tobytes()
+        # Why the round trip is kept: the raw P5 bounds differ in the last bit.
+        assert raw_differs

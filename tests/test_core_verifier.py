@@ -193,3 +193,66 @@ class TestSemantics:
         verifier = Verifier(actor, obs_config, VerifierConfig(n_components=4))
         cert = verifier.certify(property_p5(), state, cwnd_tcp=20.0, cwnd_prev=20.0)
         assert cert.proof
+
+
+def _certificate_bits(certificate):
+    return [np.asarray(column).tobytes() for column in (
+        certificate.input_lo, certificate.input_hi, certificate.output_lo,
+        certificate.output_hi, certificate.satisfied, certificate.component_feedback)]
+
+
+class TestPlanCache:
+    """The per-(properties, observer, width, N) plan cache of the engine."""
+
+    def test_plan_is_reused_for_the_same_properties(self, verifier, state):
+        props = list(shallow_buffer_properties())
+        verifier.certify_all(props, state, 20.0, 18.0)
+        plan = verifier._plan(props, verifier.observer, state.shape[0], 5)
+        assert verifier._plan(list(props), verifier.observer, state.shape[0], 5) is plan
+        assert verifier._plan(props, verifier.observer, state.shape[0], 6) is not plan
+
+    def test_fresh_property_objects_never_get_a_stale_plan(self, actor, obs_config, state):
+        """Freed property objects hand their ids to new ones; every certificate
+        must match a verifier that has never cached anything."""
+        verifier = Verifier(actor, obs_config, VerifierConfig(n_components=5))
+        rng = np.random.default_rng(11)
+        factories = [
+            lambda: property_p1(q_min_delay=float(rng.uniform(0.0, 0.05))),
+            lambda: property_p2(p_loss=float(rng.uniform(0.5, 0.9))),
+            lambda: property_p5(mu=float(rng.uniform(0.01, 0.1)), epsilon=float(rng.uniform(0.005, 0.05))),
+        ]
+        for i in range(60):
+            prop = factories[i % 3]()
+            got = verifier.certify(prop, state, 20.0, 18.0)
+            expected = Verifier(actor, obs_config, VerifierConfig(n_components=5)).certify(
+                prop, state, 20.0, 18.0)
+            assert (got.allowed_lo, got.allowed_hi) == (expected.allowed_lo, expected.allowed_hi)
+            assert _certificate_bits(got) == _certificate_bits(expected)
+            del prop, got, expected
+
+    def test_cache_is_bounded(self, verifier, state):
+        for _ in range(200):
+            verifier.certify(property_p1(), state, 20.0, 18.0)
+        assert 0 < len(verifier._plans) <= 64
+
+    def test_unpickled_verifier_rebuilds_its_plans(self, verifier, state):
+        import pickle
+
+        props = list(deep_buffer_properties())
+        expected = verifier.certify_all(props, state, 20.0, 18.0)
+        copied = pickle.loads(pickle.dumps(verifier))
+        got = copied.certify_all(props, state, 20.0, 18.0)
+        for name in expected:
+            assert _certificate_bits(got[name]) == _certificate_bits(expected[name])
+
+    def test_entry_under_a_reused_id_is_not_trusted(self, verifier, state):
+        """An entry whose key names another object's id (a recycled id, or a
+        cache unpickled in another process) is rebuilt, not reused."""
+        p1, p5 = property_p1(), property_p5()
+        verifier.certify(p1, state, 20.0, 18.0)
+        (key, entry), = verifier._plans.items()
+        verifier._plans = {(*key[:3], id(p5)): entry}
+        got = verifier.certify(p5, state, 20.0, 18.0)
+        expected = Verifier(verifier.actor, verifier.observer.config).certify(p5, state, 20.0, 18.0)
+        assert (got.allowed_lo, got.allowed_hi) == (expected.allowed_lo, expected.allowed_hi)
+        assert _certificate_bits(got) == _certificate_bits(expected)

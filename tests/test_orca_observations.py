@@ -104,6 +104,15 @@ class TestBuilder:
         assert len(indices) == 3
         assert len(set(indices)) == 3
 
+    @pytest.mark.parametrize("history_len", [1, 2, 3, 5])
+    def test_feature_columns_select_the_feature_indices(self, history_len):
+        builder = ObservationBuilder(ObservationConfig(history_len=history_len))
+        positions = np.arange(builder.state_dim)
+        for name in FEATURE_NAMES:
+            assert positions[builder.feature_columns(name)].tolist() == builder.feature_indices(name)
+        with pytest.raises(KeyError):
+            builder.feature_columns("nonexistent")
+
     def test_feature_history_matches_observations(self):
         builder = ObservationBuilder(ObservationConfig(history_len=3, delay_scale=1.0))
         for delay in (0.1, 0.2, 0.3):
