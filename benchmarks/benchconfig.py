@@ -33,6 +33,10 @@ SEED = 17
 #: Keyword arguments accepted by every experiment driver that trains models.
 SCALE = {"training_steps": TRAINING_STEPS, "seed": SEED}
 
+#: The same scale as axis overrides of the registered grid experiments,
+#: whose seed axis is the ``seeds`` sequence.
+GRID_SCALE = {"training_steps": TRAINING_STEPS, "seeds": (SEED,)}
+
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing.

@@ -152,11 +152,14 @@ def jain_fairness_index(throughputs: Sequence[float]) -> float:
     values = np.asarray(list(throughputs), dtype=np.float64)
     if values.size == 0:
         raise ValueError("need at least one throughput value")
-    denominator = values.size * np.sum(values ** 2)
-    if denominator <= 0.0:
-        # All throughputs are (numerically) zero: treat as perfectly fair.
+    scale = values.max()
+    if scale <= 0.0:
+        # All throughputs are zero: treat as perfectly fair.
         return 1.0
-    return float(values.sum() ** 2 / denominator)
+    # The index is scale-invariant; normalising by the largest value keeps the
+    # squares out of the subnormal range, where they lose precision.
+    values = values / scale
+    return float(values.sum() ** 2 / (values.size * np.sum(values ** 2)))
 
 
 def throughput_ratio(scheme_throughput: float, competitor_throughputs: Sequence[float]) -> float:

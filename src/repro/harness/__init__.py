@@ -4,8 +4,10 @@
   used across experiments.
 * :mod:`repro.harness.evaluate` — runs a congestion-control scheme over a
   trace and computes the empirical metrics and QC_sat.
-* :mod:`repro.harness.experiments` — one driver function per figure/table of
-  the single-flow evaluation (Figures 1, 2, 5–13, 16, 17 and Table 4).
+* :mod:`repro.harness.experiments` — the evaluation's experiments: every
+  grid figure (5, 7, 9, 10, 12–15 and the topology/workload grids) is a
+  registry experiment, the rest (1, 2, 6/8, 11, 16, 17, Table 4) are plain
+  driver functions.
 * :mod:`repro.harness.spec` — :class:`~repro.harness.spec.ScenarioSpec`, the
   declarative scenario identity (scheme × trace × topology × seed × model ×
   property family × certify) with canonical string/JSON round-trips — the
@@ -36,13 +38,14 @@ from repro.harness.evaluate import (
 )
 from repro.harness.models import TrainedModel, get_trained_model, clear_model_cache
 from repro.harness.checkpoints import SavedModel, load_model, save_model
-from repro.harness.parallel import ExperimentTask, GridResult, ParallelRunner, derive_seed
+from repro.harness.parallel import ExperimentTask, GridResult, ParallelRunner
 # REGISTRY lazily imports repro.harness.experiments on first lookup, so the
 # built-in experiments are always available without this package import
 # paying for the experiment drivers.
-from repro.harness.registry import REGISTRY, run_experiment
+from repro.harness.registry import REGISTRY
 from repro.harness.spec import ScenarioSpec
 from repro.harness.store import RunRecord, RunStore
+from repro.seeding import derive_seed
 
 __all__ = [
     "SavedModel",
@@ -66,5 +69,4 @@ __all__ = [
     "RunRecord",
     "RunStore",
     "REGISTRY",
-    "run_experiment",
 ]

@@ -27,6 +27,7 @@ from repro.core.qc import QuantitativeCertificate
 from repro.core.verifier import Verifier
 from repro.harness.models import TrainedModel
 from repro.orca.agent import DecisionRecord, LearnedController
+from repro.seeding import derive_seed
 from repro.telemetry.events import DEFAULT_TELEMETRY, EventTrace, parse_telemetry
 from repro.telemetry.profiler import active_profiler
 from repro.topology.families import DEFAULT_TOPOLOGY, build_topology, parse_topology
@@ -279,7 +280,7 @@ def run_schemes_sharded(
     serial and parallel runs.
     """
     # Imported lazily: parallel imports this module for its worker helpers.
-    from repro.harness.parallel import ExperimentTask, ParallelRunner, derive_seed
+    from repro.harness.parallel import ExperimentTask, ParallelRunner
 
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")

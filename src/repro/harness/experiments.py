@@ -1,30 +1,27 @@
-"""Experiment drivers — one function per figure/table of the evaluation.
-
-Every driver accepts scale knobs (training steps, run duration, number of
-traces, number of QC components) so the same code can run at CI scale inside
-the benchmark suite or at larger scale from the example scripts.  Each driver
-returns plain dictionaries / lists so the reporting module (and the
-benchmarks) can render them as the rows/series the paper reports.
-
-The grid-shaped drivers (``qcsat_buffers``, ``qcsat_robustness``,
-``performance_sweep``, ``topology_sweep``, ``realworld_deployment``,
-``fallback_runtime``) shard their (scheme × trace) cells through
-:class:`repro.harness.parallel.ParallelRunner` and accept an ``n_jobs`` knob
-(default 1 = serial; parallel and serial runs produce identical rows).  They also report the grid wall-clock — and, for the
-certificate grids, certificates/sec — so the benchmark JSON captures
-verification throughput alongside the figures.
+"""The evaluation's experiments — one per figure/table of the paper.
 
 Every grid-shaped experiment (``qcsat_buffers``, ``qcsat_robustness``,
 ``performance_sweep``, ``topology_sweep``, ``topology_generalization``,
 ``workload_stress``, ``realworld_deployment``, ``fallback_runtime``,
-``friendliness``, ``fairness``) is additionally *declared* in
+``friendliness``, ``fairness``) is *declared* in
 :data:`repro.harness.registry.REGISTRY` — named axes, a grid-expansion build
-hook, and an aggregator — so they are reachable generically via
-``python -m repro run <name> --set axis=value``, persist per-cell
+hook, and an aggregator — and runs through ``REGISTRY.run(name, overrides,
+n_jobs=...)`` or ``python -m repro run <name> --set axis=value``: its
+(scheme × trace × seed) cells shard through
+:class:`repro.harness.parallel.ParallelRunner` (parallel and serial runs
+produce identical rows), persist per-cell
 :class:`~repro.harness.store.RunRecord`\\ s, resume interrupted sweeps, and
 can be served to a lease-based worker fleet (``python -m repro serve``).
-The driver functions of those experiments are thin shims over the registry
-(rows are byte-identical through either entry point).
+The aggregators report the grid wall-clock — and, for the certificate
+grids, certificates/sec — so the benchmark JSON captures verification
+throughput alongside the figures.
+
+The remaining figures (1, 2, 6/8, 11, 16, 17 and Table 4) are plain driver
+functions taking scale knobs (training steps, run duration, number of
+traces, number of QC components), so the same code runs at CI scale inside
+the benchmark suite or at larger scale from the example scripts.  Every
+experiment returns plain dictionaries / lists so the reporting module (and
+the benchmarks) can render them as the rows/series the paper reports.
 """
 
 from __future__ import annotations
@@ -61,18 +58,8 @@ from repro.traces.synthetic import make_synthetic_trace
 __all__ = [
     "motivation_noise",
     "motivation_bad_state",
-    "qcsat_buffers",
     "certified_components",
-    "qcsat_robustness",
-    "performance_sweep",
-    "topology_sweep",
-    "topology_generalization",
-    "workload_stress",
     "noise_sensitivity",
-    "realworld_deployment",
-    "fallback_runtime",
-    "friendliness_grid",
-    "fairness_grid",
     "sensitivity",
     "training_curves",
     "verification_overhead",
@@ -84,11 +71,6 @@ GENERALIZATION_FAMILIES = ("single_bottleneck", "chain(2)", "parking_lot(2)")
 
 #: Label of the domain-randomized model trained on every family at once.
 MIXED_TRAINING_LABEL = "mixed"
-
-
-#: Backward-compatible alias — the one trace-suite resolver lives in
-#: :func:`repro.harness.spec.trace_subset`.
-_trace_subset = trace_subset
 
 
 def _qc_grid_summary(figure: str, rows: List[Dict], grid) -> Dict:
@@ -225,7 +207,7 @@ def _qcsat_buffers_build(axes: Dict) -> List[ExperimentTask]:
                 settings = EvaluationSettings(duration=axes["duration"],
                                               buffer_bdp=buffer_bdp, seed=seed)
                 for scheme_label, model_kind in (("canopy", canopy_kind), ("orca", "orca")):
-                    for trace in _trace_subset(trace_kind, count):
+                    for trace in trace_subset(trace_kind, count):
                         tasks.append(ExperimentTask(
                             scheme=scheme_label, trace=trace, settings=settings,
                             model_kind=model_kind, training_steps=axes["training_steps"],
@@ -235,31 +217,6 @@ def _qcsat_buffers_build(axes: Dict) -> List[ExperimentTask]:
                             tags={"property_family": family, "trace_kind": trace_kind},
                         ))
     return tasks
-
-
-def qcsat_buffers(
-    training_steps: int = 400,
-    duration: float = 10.0,
-    n_components: int = 50,
-    n_synthetic: int = 3,
-    n_cellular: int = 2,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """Mean/std of QC_sat for Canopy vs Orca, shallow & deep properties (Fig. 5).
-
-    Thin shim over the registered ``qcsat_buffers`` experiment — the registry
-    pre-trains the models the pending cells name, shards the grid, and
-    aggregates; rows are byte-identical to the historical bespoke driver.
-    """
-    return REGISTRY.run("qcsat_buffers", {
-        "training_steps": training_steps,
-        "duration": duration,
-        "n_components": n_components,
-        "n_synthetic": n_synthetic,
-        "n_cellular": n_cellular,
-        "seeds": (seed,),
-    }, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -346,7 +303,7 @@ def _qcsat_robustness_build(axes: Dict) -> List[ExperimentTask]:
             settings = EvaluationSettings(duration=axes["duration"], buffer_bdp=2.0,
                                           observation_noise=axes["noise"], seed=seed)
             for scheme_label, model_kind in (("canopy", "canopy-robust"), ("orca", "orca")):
-                for trace in _trace_subset(trace_kind, count):
+                for trace in trace_subset(trace_kind, count):
                     tasks.append(ExperimentTask(
                         scheme=scheme_label, trace=trace, settings=settings,
                         model_kind=model_kind, training_steps=axes["training_steps"],
@@ -356,31 +313,6 @@ def _qcsat_robustness_build(axes: Dict) -> List[ExperimentTask]:
                         tags={"trace_kind": trace_kind},
                     ))
     return tasks
-
-
-def qcsat_robustness(
-    training_steps: int = 400,
-    duration: float = 10.0,
-    n_components: int = 50,
-    n_synthetic: int = 3,
-    n_cellular: int = 2,
-    noise: float = 0.05,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """QC_sat of Canopy-robust vs Orca for P5 on 2 BDP buffers (Fig. 7).
-
-    Thin shim over the registered ``qcsat_robustness`` experiment.
-    """
-    return REGISTRY.run("qcsat_robustness", {
-        "training_steps": training_steps,
-        "duration": duration,
-        "n_components": n_components,
-        "n_synthetic": n_synthetic,
-        "n_cellular": n_cellular,
-        "noise": noise,
-        "seeds": (seed,),
-    }, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -438,6 +370,12 @@ def _performance_sweep_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="utilization vs delay for every scheme (Fig. 9 shallow / Fig. 10 deep)",
 )
 def _performance_sweep_build(axes: Dict) -> List[ExperimentTask]:
+    """Utilization vs avg/p95 delay for every scheme (Fig. 9 shallow, Fig. 10 deep).
+
+    ``topologies`` replicates every (trace, scheme) cell per family spec;
+    with more than one family the report rows carry a ``topology`` column.
+    The default single family reproduces the paper's figures unchanged.
+    """
     scheme_kinds = _performance_sweep_labels(axes)
     tasks = []
     for topology in axes["topologies"]:
@@ -447,7 +385,7 @@ def _performance_sweep_build(axes: Dict) -> List[ExperimentTask]:
                 settings = EvaluationSettings(duration=axes["duration"],
                                               buffer_bdp=axes["buffer_bdp"],
                                               topology=topology, seed=seed)
-                for trace in _trace_subset(trace_kind, count):
+                for trace in trace_subset(trace_kind, count):
                     for label, model_kind in scheme_kinds.items():
                         tasks.append(ExperimentTask(
                             scheme=label, trace=trace, settings=settings,
@@ -456,37 +394,6 @@ def _performance_sweep_build(axes: Dict) -> List[ExperimentTask]:
                             tags={"trace_kind": trace_kind},
                         ))
     return tasks
-
-
-def performance_sweep(
-    buffer_bdp: float = 1.0,
-    canopy_kind: str = "canopy-shallow",
-    training_steps: int = 400,
-    duration: float = 15.0,
-    n_synthetic: int = 3,
-    n_cellular: int = 2,
-    seed: int = 1,
-    n_jobs: int = 1,
-    topologies: Sequence[str] = ("single_bottleneck",),
-) -> Dict:
-    """Utilization vs avg/p95 delay for all schemes (Fig. 9 shallow, Fig. 10 deep).
-
-    ``topologies`` adds a topology axis to the grid: every (trace, scheme)
-    cell is replicated per family spec, and — when more than one family is
-    swept — the report rows carry a ``topology`` column.  The default single
-    family reproduces the paper's single-bottleneck figures unchanged.  Thin
-    shim over the registered ``performance_sweep`` experiment.
-    """
-    return REGISTRY.run("performance_sweep", {
-        "buffer_bdp": buffer_bdp,
-        "canopy_kind": canopy_kind,
-        "training_steps": training_steps,
-        "duration": duration,
-        "n_synthetic": n_synthetic,
-        "n_cellular": n_cellular,
-        "seeds": (seed,),
-        "topologies": tuple(topologies),
-    }, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -550,6 +457,13 @@ def _topology_sweep_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="every scheme on every topology family (+ per-family rows and ticks/sec)",
 )
 def _topology_sweep_build(axes: Dict) -> List[ExperimentTask]:
+    """Every scheme on every topology family (chains, parking lots, dumbbells).
+
+    The paper evaluates a single shared bottleneck; this sweep drives the same
+    schemes over the multi-bottleneck family catalog and reports per-family
+    utilization/delay rows plus the simulator tick throughput.  A non-empty
+    ``canopy_kind`` adds a learned scheme under the label ``canopy``.
+    """
     scheme_kinds = _topology_sweep_labels(axes)
     traces = trace_subset("synthetic", axes["n_synthetic"])
     tasks = []
@@ -566,44 +480,6 @@ def _topology_sweep_build(axes: Dict) -> List[ExperimentTask]:
                         model_seed=seed,
                     ))
     return tasks
-
-
-def topology_sweep(
-    families: Optional[Sequence[str]] = None,
-    schemes: Sequence[str] = ("cubic", "vegas", "bbr"),
-    canopy_kind: Optional[str] = None,
-    training_steps: int = 400,
-    duration: float = 10.0,
-    n_synthetic: int = 2,
-    buffer_bdp: float = 1.0,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """Every scheme on every topology family (chains, parking lots, dumbbells).
-
-    The paper evaluates a single shared bottleneck; this sweep drives the same
-    schemes over the multi-bottleneck family catalog — per-hop buffers,
-    parking-lot cross traffic, dumbbell bursts — and reports per-family
-    utilization/delay rows plus the simulator tick throughput (grid ticks per
-    wall-clock second, recorded in the bench JSON).
-
-    ``canopy_kind`` optionally adds a learned scheme (trained up front so pool
-    workers inherit the warm model cache) under the label ``canopy``.  Thin
-    shim over the registered ``topology_sweep`` experiment (``python -m repro
-    run topology_sweep --set seeds=0..4 --resume`` is the generic front door).
-    """
-    overrides: Dict[str, object] = {
-        "schemes": tuple(schemes),
-        "canopy_kind": canopy_kind,
-        "training_steps": training_steps,
-        "duration": duration,
-        "n_synthetic": n_synthetic,
-        "buffer_bdp": buffer_bdp,
-        "seeds": (seed,),
-    }
-    if families is not None:
-        overrides["families"] = tuple(families)
-    return REGISTRY.run("topology_sweep", overrides, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -625,17 +501,10 @@ def _generalization_catalogs(families: Sequence[str], include_mixed: bool) -> Di
     return catalogs
 
 
-def _generalization_property_families(axes: Dict) -> List[str]:
-    """The property-family product axis, normalized to a list (a plain string
-    from the driver shims is one family)."""
-    value = axes["property_family"]
-    return [value] if isinstance(value, str) else list(value)
-
-
 def _topology_generalization_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     families = list(axes["families"])
     catalogs = _generalization_catalogs(families, axes["include_mixed"])
-    property_families = _generalization_property_families(axes)
+    property_families = list(axes["property_family"])
     sweep_properties = len(property_families) > 1
     n_seeds = max(len(axes["seeds"]), 1)
 
@@ -713,9 +582,17 @@ def _topology_generalization_aggregate(grid, axes: Dict, tasks: Sequence) -> Dic
     description="(train-family x eval-family) certified-safety + performance grid",
 )
 def _topology_generalization_build(axes: Dict) -> List[ExperimentTask]:
+    """The (train-family × eval-family) certified-safety + performance grid.
+
+    One model is trained per topology family (its episodes sample that family
+    only) plus, with ``include_mixed``, one domain-randomized ``mixed`` model
+    sampling every family.  Each model is evaluated with ``certify=True`` on
+    every family, so a row carries QC_sat and the empirical utilization,
+    delay and loss of the same runs.
+    """
     families = list(axes["families"])
     catalogs = _generalization_catalogs(families, axes["include_mixed"])
-    property_families = _generalization_property_families(axes)
+    property_families = list(axes["property_family"])
     tasks = []
     for property_family in property_families:
         for train_label, catalog in catalogs.items():
@@ -743,50 +620,6 @@ def _topology_generalization_build(axes: Dict) -> List[ExperimentTask]:
                                       "eval_family": eval_family},
                             ))
     return tasks
-
-
-def topology_generalization(
-    families: Optional[Sequence[str]] = None,
-    model_kind: str = "canopy-shallow",
-    property_family: str = "shallow",
-    include_mixed: bool = True,
-    training_steps: int = 300,
-    duration: float = 8.0,
-    n_components: int = 10,
-    n_synthetic: int = 2,
-    buffer_bdp: float = 1.0,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """The (train-family × eval-family) certified-safety + performance grid.
-
-    One model is trained per topology family (its training episodes sample
-    that family only) plus, with ``include_mixed``, one domain-randomized
-    ``mixed`` model whose episodes sample uniformly across *all* families.
-    Every model is then evaluated — with ``certify=True`` — on every family,
-    so each grid row carries both QC_sat (certified safety) and the empirical
-    utilization/delay/loss of the same run.  Cells shard through
-    :class:`ParallelRunner`; serial and parallel runs produce identical rows.
-
-    Thin shim over the registered ``topology_generalization`` experiment:
-    the generic front door scales the grid with no code change, e.g.
-    ``python -m repro run topology_generalization --set seeds=0..2 --set
-    trace=cellular --jobs 4``.
-    """
-    overrides: Dict[str, object] = {
-        "model_kind": model_kind,
-        "property_family": property_family,
-        "include_mixed": include_mixed,
-        "training_steps": training_steps,
-        "duration": duration,
-        "n_components": n_components,
-        "n_traces": n_synthetic,
-        "buffer_bdp": buffer_bdp,
-        "seeds": (seed,),
-    }
-    if families is not None:
-        overrides["families"] = tuple(families)
-    return REGISTRY.run("topology_generalization", overrides, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -853,6 +686,13 @@ def _workload_stress_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
                 "(incast, responsive contention, churn)",
 )
 def _workload_stress_build(axes: Dict) -> List[ExperimentTask]:
+    """The (scheme × topology family × workload) certified stress grid.
+
+    Incast (``fan_in(n)`` with a responsive workload), certified safety under
+    churn (``poisson(λ)`` arrivals and departures) and learned-vs-classical
+    contention on shared segments; learned cells carry QC_sat next to the
+    empirical metrics of the same contended run.
+    """
     traces = trace_subset("synthetic", axes["n_traces"])
     tasks = []
     for scheme in axes["schemes"]:
@@ -883,50 +723,6 @@ def _workload_stress_build(axes: Dict) -> List[ExperimentTask]:
     return tasks
 
 
-def workload_stress(
-    schemes: Sequence[str] = ("canopy-shallow",),
-    topologies: Optional[Sequence[str]] = None,
-    workloads: Optional[Sequence[str]] = None,
-    property_family: str = "shallow",
-    training_steps: int = 200,
-    duration: float = 6.0,
-    n_components: int = 8,
-    n_traces: int = 1,
-    buffer_bdp: float = 1.0,
-    seed: int = 1,
-    n_jobs: int = 1,
-    telemetry: str = "off",
-) -> Dict:
-    """The (scheme × topology family × workload) certified stress grid.
-
-    Opens the scenario classes the paper cannot express: incast storms
-    (``fan_in(n)`` + a responsive workload bringing several flows up at
-    once), certified safety *under churn* (``poisson(λ)`` arrivals and
-    departures mid-run), and learned-vs-classical contention on shared
-    segments.  Learned schemes run with ``certify=True``, so every cell
-    carries QC_sat next to the empirical utilization/delay/loss of the same
-    contended run.  Thin shim over the registered ``workload_stress``
-    experiment — ``python -m repro run workload_stress --set
-    workload=poisson(0.1) --set topology=fan_in(3) --jobs 2 --resume`` is the
-    generic front door.
-    """
-    overrides: Dict[str, object] = {
-        "schemes": tuple(schemes),
-        "property_family": property_family,
-        "training_steps": training_steps,
-        "duration": duration,
-        "n_components": n_components,
-        "n_traces": n_traces,
-        "buffer_bdp": buffer_bdp,
-        "seeds": (seed,),
-    }
-    if topologies is not None:
-        overrides["topology"] = tuple(topologies)
-    if workloads is not None:
-        overrides["workload"] = tuple(workloads)
-    return REGISTRY.run("workload_stress", overrides, n_jobs=n_jobs)
-
-
 # ---------------------------------------------------------------------- #
 # Figure 11 — robustness to observation noise
 # ---------------------------------------------------------------------- #
@@ -940,7 +736,7 @@ def noise_sensitivity(
     """Percentage change of metrics when ±5% delay noise is added (Fig. 11)."""
     orca = get_trained_model("orca", training_steps=training_steps, seed=seed)
     canopy = get_trained_model("canopy-robust", training_steps=training_steps, seed=seed)
-    traces = _trace_subset("synthetic", n_traces)
+    traces = trace_subset("synthetic", n_traces)
     rows = []
     for scheme_label, model in (("orca", orca), ("canopy", canopy)):
         changes = {"utilization": [], "avg_delay": [], "p95_delay": []}
@@ -1027,6 +823,8 @@ def _realworld_deployment_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="normalized throughput/delay over emulated WAN paths (Fig. 12)",
 )
 def _realworld_deployment_build(axes: Dict) -> List[ExperimentTask]:
+    """Every (scheme, WAN path) cell runs independently; the per-path
+    normalization (best throughput / lowest delay) happens in the aggregator."""
     tasks = []
     for category, profiles in _realworld_categories(axes).items():
         for profile in profiles:
@@ -1045,28 +843,6 @@ def _realworld_deployment_build(axes: Dict) -> List[ExperimentTask]:
                         tags={"category": category, "path": profile.region},
                     ))
     return tasks
-
-
-def realworld_deployment(
-    training_steps: int = 400,
-    duration: float = 12.0,
-    profiles_per_category: int = 2,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """Normalized throughput/delay over emulated WAN paths (Fig. 12).
-
-    Every (scheme, path) cell runs independently on the pool; the per-path
-    normalization (best throughput / lowest delay across schemes) happens at
-    merge time on the collected rows.  Thin shim over the registered
-    ``realworld_deployment`` experiment.
-    """
-    return REGISTRY.run("realworld_deployment", {
-        "training_steps": training_steps,
-        "duration": duration,
-        "profiles_per_category": profiles_per_category,
-        "seeds": (seed,),
-    }, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -1114,6 +890,8 @@ def _fallback_runtime_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="QC_sat-guided runtime fallback grid (Fig. 13)",
 )
 def _fallback_runtime_build(axes: Dict) -> List[ExperimentTask]:
+    """Every cell carries a declarative monitor spec: the worker rebuilds the
+    ``QCRuntimeMonitor`` from the model zoo, so the grid shards like any other."""
     traces = trace_subset("synthetic", axes["n_traces"])
     tasks = []
     for family, buffer_bdp, canopy_kind in _FALLBACK_CASES:
@@ -1133,33 +911,6 @@ def _fallback_runtime_build(axes: Dict) -> List[ExperimentTask]:
                             tags={"buffer_family": family, "threshold": threshold},
                         ))
     return tasks
-
-
-def fallback_runtime(
-    training_steps: int = 400,
-    duration: float = 12.0,
-    thresholds: Sequence[float] = (0.0, 0.5, 0.8),
-    n_components: int = 10,
-    n_traces: int = 2,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """Performance of Orca and Canopy with the QC_sat-guided fallback (Fig. 13).
-
-    Every (family, scheme, threshold, trace) cell carries a *declarative*
-    monitor spec — the worker rebuilds the ``QCRuntimeMonitor`` (verifier
-    closure and all) from the model zoo — so the grid shards through
-    :class:`ParallelRunner` like any other.  Thin shim over the registered
-    ``fallback_runtime`` experiment.
-    """
-    return REGISTRY.run("fallback_runtime", {
-        "training_steps": training_steps,
-        "duration": duration,
-        "thresholds": tuple(thresholds),
-        "n_components": n_components,
-        "n_traces": n_traces,
-        "seeds": (seed,),
-    }, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -1209,29 +960,6 @@ def _friendliness_build(axes: Dict) -> List[MultiFlowTask]:
     return tasks
 
 
-def friendliness_grid(
-    flows: Sequence[int] = (1, 2, 4),
-    rtts_ms: Sequence[float] = (20.0, 50.0, 100.0),
-    training_steps: int = 400,
-    duration: float = 15.0,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """TCP friendliness against competing CUBIC flows and across RTTs (Fig. 14).
-
-    Thin shim over the registered ``friendliness`` experiment: every sweep
-    point is a declarative :class:`~repro.harness.fairness.MultiFlowTask`, so
-    the grid shards, persists, and resumes like any other.
-    """
-    return REGISTRY.run("friendliness", {
-        "flows": tuple(flows),
-        "rtts_ms": tuple(rtts_ms),
-        "training_steps": training_steps,
-        "duration": duration,
-        "seed": seed,
-    }, n_jobs=n_jobs)
-
-
 @REGISTRY.register(
     "fairness",
     axes={
@@ -1259,27 +987,6 @@ def _fairness_build(axes: Dict) -> List[MultiFlowTask]:
     ]
 
 
-def fairness_grid(
-    schemes: Sequence[str] = ("cubic", "orca", "canopy-shallow", "canopy-deep"),
-    n_flows: int = 3,
-    join_interval: float = 12.0,
-    training_steps: int = 400,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """Fairness convergence of homogeneous flows joining over time (Fig. 15).
-
-    Thin shim over the registered ``fairness`` experiment.
-    """
-    return REGISTRY.run("fairness", {
-        "schemes": tuple(schemes),
-        "n_flows": n_flows,
-        "join_interval": join_interval,
-        "training_steps": training_steps,
-        "seed": seed,
-    }, n_jobs=n_jobs)
-
-
 # ---------------------------------------------------------------------- #
 # Figure 16 — sensitivity to N and λ
 # ---------------------------------------------------------------------- #
@@ -1292,7 +999,7 @@ def sensitivity(
     seed: int = 1,
 ) -> Dict:
     """Performance of Canopy-shallow for different N and λ (Fig. 16)."""
-    traces = _trace_subset("synthetic", n_traces)
+    traces = trace_subset("synthetic", n_traces)
     settings = EvaluationSettings(duration=duration, buffer_bdp=1.0, seed=seed)
     rows = []
 

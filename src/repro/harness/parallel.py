@@ -23,10 +23,10 @@ Determinism
 Each task carries its own seeds (the link/noise seed inside ``settings`` and
 the model-training seed) — worker identity never influences results, and rows
 come back ordered by task index regardless of completion order.  Use
-:func:`derive_seed` to derive stable per-cell seeds from a base seed and the
-cell coordinates.  Learned models are trained in the parent process first
-(the drivers call :func:`~repro.harness.models.get_trained_model` up front),
-so forked workers inherit the warm model cache instead of retraining.
+:func:`repro.seeding.derive_seed` to derive stable per-cell seeds from a base
+seed and the cell coordinates.  Learned models are trained in the parent
+process first (e.g. by :func:`repro.harness.registry.pretrain_models`), so
+forked workers inherit the warm model cache instead of retraining.
 
 Usage::
 
@@ -59,7 +59,6 @@ from repro.harness.evaluate import (
 )
 from repro.harness.spec import PROPERTY_FAMILIES, ScenarioSpec
 from repro.harness.store import fingerprint
-from repro.seeding import derive_seed
 from repro.telemetry.events import DEFAULT_TELEMETRY, EventTrace, canonical_telemetry
 from repro.telemetry.summary import summarize_events
 from repro.workload.spec import DEFAULT_WORKLOAD
@@ -71,8 +70,6 @@ __all__ = [
     "ParallelRunner",
     "run_profiled",
     "run_task",
-    "derive_seed",
-    "PROPERTY_FAMILIES",
 ]
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.harness.parallel import GridResult, ParallelRunner, run_profiled, run_task
 from repro.harness.spec import coerce_scalar
@@ -55,9 +55,6 @@ __all__ = [
     "ExperimentRegistry",
     "REGISTRY",
     "pretrain_models",
-    "register",
-    "run_experiment",
-    "experiment_names",
     "parse_set_overrides",
 ]
 
@@ -133,8 +130,9 @@ def coerce_axis_value(name: str, value: object, default: object):
     :func:`repro.harness.spec.coerce_scalar` — the one scalar-coercion rule
     of the repo, so int/float/bool handling matches everywhere; sequence axes
     split on commas, with ``a..b`` expanding to an inclusive whole-number
-    range cast to the axis's element type.  Typed overrides (from the driver
-    shims) pass through, normalized to tuples for sequence axes.
+    range cast to the axis's element type.  Typed overrides (from code, e.g.
+    ``REGISTRY.run(name, {"seeds": (1, 2)})``) pass through, normalized to
+    tuples for sequence axes (a lone value becomes a one-element tuple).
     """
     is_sequence_axis = isinstance(default, (tuple, list))
     if isinstance(value, str):
@@ -313,6 +311,32 @@ class ExperimentRegistry:
         result["computed_cells"] = len(plan.tasks) - n_cached
         return result
 
+    def prepare(self, plan: ExperimentPlan, store: Optional[RunStore], resume: bool,
+                announce: Callable[[int, int], None]) -> Tuple[Dict[str, Dict], List[Tuple]]:
+        """The resume prologue shared by :meth:`run` and the serve daemon.
+
+        With a ``store`` and ``resume=True``, cells whose key the store holds
+        are served from it.  ``announce(n_cached, n_pending)`` reports the
+        split before any training.  Model training is the dominant cost of
+        learned grids, so it (and the setup hook) is driven by the *pending*
+        cells only: a fully-cached resume trains nothing.
+
+        Returns ``(cached, pending)``: cached rows by cell key, and the
+        pending ``(plan index, task)`` pairs in plan order.
+        """
+        cached: Dict[str, Dict] = {}
+        if store is not None and resume:
+            records = store.load()
+            cached = {key: records[key].row for key in plan.keys if key in records}
+        pending = [(index, task) for index, task in enumerate(plan.tasks)
+                   if plan.keys[index] not in cached]
+        announce(len(cached), len(pending))
+        if pending:
+            if plan.experiment.setup is not None:
+                plan.experiment.setup(plan.axes)
+            pretrain_models([task for _, task in pending])
+        return cached, pending
+
     def run(self, name: str, overrides: Optional[Mapping[str, object]] = None,
             n_jobs: int = 1, store: Optional[RunStore] = None,
             resume: bool = False, profile: bool = False) -> Dict:
@@ -333,28 +357,15 @@ class ExperimentRegistry:
         with it on or off.
         """
         plan = self.plan(name, overrides)
-        experiment, axes, tasks, keys = plan.experiment, plan.axes, plan.tasks, plan.keys
+        experiment = plan.experiment
 
-        cached: Dict[str, Dict] = {}
-        if store is not None and resume:
-            records = store.load()
-            cached = {key: records[key].row for key in keys if key in records}
+        def announce(n_cached: int, n_pending: int) -> None:
+            log.info("experiment_start", logger="harness", experiment=name,
+                     cells=len(plan.tasks), cached=n_cached, pending=n_pending,
+                     n_jobs=n_jobs)
 
-        pending = [(index, task) for index, task in enumerate(tasks)
-                   if keys[index] not in cached]
-        rows: List[Optional[Dict]] = [cached.get(key) for key in keys]
-        # Model training is the dominant cost of learned grids, so it is
-        # driven by the *pending* cells only: a fully-cached --resume trains
-        # nothing, a 95%-done resume trains just the models its remaining
-        # cells name.  The setup hook (for anything beyond training) is
-        # likewise skipped when no cell needs computing.
-        log.info("experiment_start", logger="harness", experiment=name,
-                 cells=len(tasks), cached=len(cached), pending=len(pending),
-                 n_jobs=n_jobs)
-        if pending:
-            if experiment.setup is not None:
-                experiment.setup(axes)
-            pretrain_models([task for _, task in pending])
+        cached, pending = self.prepare(plan, store, resume, announce)
+        rows: List[Optional[Dict]] = [cached.get(key) for key in plan.keys]
 
         runner = ParallelRunner(n_jobs)
         producer = "serial" if runner.n_jobs <= 1 else "pool"
@@ -410,8 +421,3 @@ _BUILTINS_LOADED = False
 
 #: The process-wide registry every built-in experiment registers into.
 REGISTRY = ExperimentRegistry()
-
-#: Module-level conveniences mirroring the registry instance.
-register = REGISTRY.register
-run_experiment = REGISTRY.run
-experiment_names = REGISTRY.names

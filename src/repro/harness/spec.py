@@ -26,7 +26,7 @@ exactly one place:
   suites (``synthetic`` / ``cellular``) resolved to
   :class:`~repro.traces.trace.BandwidthTrace` objects;
 * :data:`PROPERTY_FAMILIES` — the property families reconstructable by name
-  inside worker processes (re-exported by :mod:`repro.harness.parallel`).
+  inside worker processes.
 """
 
 from __future__ import annotations

@@ -5,10 +5,8 @@ and topologies instantiate one random-loss RNG per link hop.  Both need seeds
 that depend only on *what* is being run — never on which worker runs it or in
 what order — so that serial and parallel executions are bit-identical.
 
-``derive_seed`` lives in its own leaf module (rather than in
-:mod:`repro.harness.parallel`, which re-exports it for backward compatibility)
-so that :mod:`repro.topology` can use it without importing the experiment
-harness.
+``derive_seed`` lives in its own leaf module so that :mod:`repro.topology`
+can use it without importing the experiment harness.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.harness.models import ZOO_ENV
-from repro.harness.registry import REGISTRY, pretrain_models
+from repro.harness.registry import REGISTRY
 from repro.harness.store import RunRecord, RunStore, canonical_json
 from repro.serve.lease import LeaseJournal, LeaseTable
 from repro.serve.worker import worker_main
@@ -149,7 +149,8 @@ def serve_experiment(name: str, overrides: Optional[Dict] = None,
         workers: Fleet size.  ``0`` computes cells inline in the daemon
             process (lease bookkeeping still runs; useful where fork is
             unavailable).
-        ttl_s: Lease TTL; a lease not renewed for this long is reclaimed.
+        ttl_s: Lease TTL in seconds, > 0 (``ValueError`` otherwise); a lease
+            not renewed for this long is reclaimed.
         heartbeat_s: Worker heartbeat period (default ``ttl_s / 4``).
         resume: Serve only cells missing from the store (default True — the
             daemon's whole point is durable incremental progress).
@@ -171,6 +172,10 @@ def serve_experiment(name: str, overrides: Optional[Dict] = None,
     """
     if store is None:
         raise ValueError("serve_experiment requires a store directory")
+    if not ttl_s > 0:
+        # A non-positive TTL expires every lease on grant: the daemon would
+        # SIGKILL each worker it hands a cell to.
+        raise ValueError(f"serve_experiment: ttl_s must be positive, got {ttl_s!r}")
     store = store if isinstance(store, RunStore) else RunStore(store)
     # One shared model zoo per store unless the caller pinned one: the parent
     # trains (publishing checkpoints), every worker — even one spawned after
@@ -179,22 +184,16 @@ def serve_experiment(name: str, overrides: Optional[Dict] = None,
 
     plan = REGISTRY.plan(name, overrides)
     keys = plan.keys
-    cached: Dict[str, Dict] = {}
-    if resume:
-        records = store.load()
-        cached = {key: records[key].row for key in keys if key in records}
-    pending = deque((index, task) for index, task in enumerate(plan.tasks)
-                    if keys[index] not in cached)
-    rows: List[Optional[Dict]] = [cached.get(key) for key in keys]
     by_key = {keys[index]: (index, task) for index, task in enumerate(plan.tasks)}
-
     journal = LeaseJournal(store.path)
-    journal.append("serve_start", experiment=name, cells=len(plan.tasks),
-                   cached=len(cached), pending=len(pending), workers=workers,
-                   ttl_s=ttl_s, pid=os.getpid())
-    log.info("serve_start", logger="serve", experiment=name,
-             cells=len(plan.tasks), cached=len(cached), pending=len(pending),
-             workers=workers)
+
+    def announce(n_cached: int, n_pending: int) -> None:
+        journal.append("serve_start", experiment=name, cells=len(plan.tasks),
+                       cached=n_cached, pending=n_pending, workers=workers,
+                       ttl_s=ttl_s, pid=os.getpid())
+        log.info("serve_start", logger="serve", experiment=name,
+                 cells=len(plan.tasks), cached=n_cached, pending=n_pending,
+                 workers=workers)
 
     # Observability rides next to the lease loop, never inside the row path:
     # the metrics journal is append-only wall-clock data, and the HTTP surface
@@ -210,10 +209,9 @@ def serve_experiment(name: str, overrides: Optional[Dict] = None,
 
         obs_server = ObsServer(store.path, port=http_port).start()
 
-    if pending:
-        if plan.experiment.setup is not None:
-            plan.experiment.setup(plan.axes)
-        pretrain_models([task for _, task in pending])
+    cached, pending = REGISTRY.prepare(plan, store, resume, announce)
+    pending = deque(pending)
+    rows: List[Optional[Dict]] = [cached.get(key) for key in keys]
 
     heartbeat_s = heartbeat_s if heartbeat_s is not None else max(ttl_s / 4.0, 0.05)
     table = LeaseTable(journal, ttl_s=ttl_s)

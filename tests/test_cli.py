@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENT_DRIVERS, FIGURE_DRIVERS, build_parser, main
+from repro.cli import FIGURE_DRIVERS, FIGURE_EXPERIMENTS, build_parser, main
 from repro.nn.serialization import load_weight_dict
 
 
@@ -72,9 +72,23 @@ def test_figure_command_runs_driver(capsys):
 
 
 def test_figure_driver_registry_covers_evaluation():
+    # Every figure id has exactly one front door: a plain driver or a
+    # registered experiment, never both.
+    from repro.harness.registry import REGISTRY
+
     expected = {"1", "2", "5", "6", "7", "9", "10", "11", "12", "13", "16", "17", "table4",
                 "topology"}
-    assert expected <= set(FIGURE_DRIVERS)
+    assert not set(FIGURE_DRIVERS) & set(FIGURE_EXPERIMENTS)
+    assert expected <= set(FIGURE_DRIVERS) | set(FIGURE_EXPERIMENTS)
+
+
+def test_figure_experiments_are_known_figure_ids():
+    from repro.harness.registry import REGISTRY
+
+    for name, overrides in FIGURE_EXPERIMENTS.values():
+        axes = REGISTRY.get(name).axes
+        assert {"training_steps", "seeds"} <= set(axes)
+        assert set(overrides) <= set(axes)
 
 
 def test_list_traces_includes_topology_families(capsys):
@@ -142,11 +156,6 @@ def test_compare_classical_command(capsys):
         assert scheme in out
 
 
-def test_experiment_registry_covers_topology_workloads():
-    assert {"topology_sweep", "topology_generalization",
-            "friendliness", "fairness"} <= set(EXPERIMENT_DRIVERS)
-
-
 RUN_SETS = ["--set", "schemes=cubic", "--set", "families=single_bottleneck,chain(2)",
             "--set", "duration=2.0", "--set", "n_synthetic=1", "--set", "seeds=0"]
 
@@ -197,37 +206,18 @@ def test_run_topology_sweep_with_store_and_resume(tmp_path, capsys):
     assert store_main([store]) == 0
 
 
-def test_experiment_unknown_name_errors():
-    with pytest.raises(SystemExit):
-        main(["experiment", "not-an-experiment"])
-
-
-def test_experiment_is_a_deprecated_alias_of_run(caplog):
-    import logging
-
-    with caplog.at_level(logging.WARNING, logger="repro"):
-        code = main(["experiment", "topology_sweep", "--steps", "30",
-                     "--duration", "2.0", "--families", "single_bottleneck"])
-    assert code == 0
-    assert "experiment_deprecated" in caplog.text
-    assert "repro run topology_sweep" in caplog.text
-
-
-def test_figure_experiments_are_known_figure_ids():
-    from repro.cli import FIGURE_EXPERIMENTS
-    from repro.harness.registry import REGISTRY
-
-    assert set(FIGURE_EXPERIMENTS) <= set(FIGURE_DRIVERS)
-    for name, overrides in FIGURE_EXPERIMENTS.values():
-        axes = REGISTRY.get(name).axes
-        assert {"training_steps", "seeds"} <= set(axes)
-        assert set(overrides) <= set(axes)
+def test_experiment_unknown_name_errors(capsys):
+    # Grids run through `run`; `experiment` is not a subcommand, so argparse
+    # rejects it (exit 2) whatever experiment name follows.
+    for name in ("not-an-experiment", "topology_sweep"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", name])
+        assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_figure_routes_registry_figures_through_resumable_store(
         tmp_path, capsys, monkeypatch):
-    from repro.cli import FIGURE_EXPERIMENTS
-
     monkeypatch.setitem(FIGURE_EXPERIMENTS, "topology",
                         ("topology_sweep", {"families": ("single_bottleneck",),
                                             "schemes": ("cubic",),
@@ -281,12 +271,35 @@ def test_status_without_journal_errors(tmp_path):
         main(["status", str(tmp_path)])
 
 
+SERVE_TINY = ["--set", "schemes=cubic", "--set", "topology=single_bottleneck",
+              "--set", "workload=static", "--set", "duration=1.0", "--set", "seeds=1",
+              "--workers", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "workload_stress", *SERVE_TINY, "--ttl", "0"],
+    ["serve", "workload_stress", *SERVE_TINY, "--ttl", "-5"],
+    ["serve", "workload_stress", *SERVE_TINY, "--max-leases", "0"],
+    ["status", "store", "--interval", "-1"],
+    ["status", "store", "--interval", "0"],
+])
+def test_serve_and_status_reject_non_positive_timing(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_MODEL_ZOO", str(tmp_path / "zoo"))
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "positive" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_experiment_command_runs_generalization_grid(capsys):
-    code = main(["experiment", "topology_generalization", "--steps", "40", "--seed", "54",
-                 "--duration", "2.0", "--families", "single_bottleneck,chain(2)", "--jobs", "1"])
+    code = main(["run", "topology_generalization", "--set", "training_steps=40",
+                 "--set", "seeds=54", "--set", "duration=2.0",
+                 "--set", "families=single_bottleneck,chain(2)", "--jobs", "1"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "Experiment topology_generalization" in out
+    assert "Run topology_generalization" in out
     assert "train_family" in out and "eval_family" in out
     assert "mixed" in out and "chain(2)" in out
 

@@ -261,6 +261,14 @@ class TestServeDeterminism:
         with pytest.raises(ValueError, match="requires a store"):
             serve_experiment("workload_stress", MINI_GRID)
 
+    @pytest.mark.parametrize("ttl_s", [0.0, -1.0, float("nan")])
+    def test_non_positive_ttl_rejected_before_touching_the_store(self, tmp_path, ttl_s):
+        # A zero TTL would expire every lease on grant and SIGKILL the fleet.
+        with pytest.raises(ValueError, match="ttl_s must be positive"):
+            serve_experiment("serve_toy", None, store=tmp_path / "store",
+                             workers=0, ttl_s=ttl_s)
+        assert not (tmp_path / "store").exists()
+
 
 # --------------------------------------------------------------------- #
 # Failure surfacing (deterministic runner errors)

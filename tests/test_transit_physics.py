@@ -340,7 +340,7 @@ class TestGoldenMiniStore:
     ])
     def test_recomputed_cell_matches_golden(self, golden_rows, scheme, topology, workload):
         from repro.harness.evaluate import EvaluationSettings
-        from repro.harness.experiments import trace_subset
+        from repro.harness.spec import trace_subset
         from repro.harness.parallel import ExperimentTask, ParallelRunner
 
         trace = trace_subset("synthetic", 1)[0]
