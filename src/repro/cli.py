@@ -51,6 +51,13 @@ commentary, not deliverables.
 
 Every subcommand is a thin wrapper over the public library API, so anything
 the CLI does can also be done programmatically (see the examples/ scripts).
+
+Import rule: building the parser (and so ``--help``) imports only the stdlib,
+:mod:`repro.telemetry.log` and NumPy-free constants.  Every ``cmd_*``
+handler imports its own stack in its body, and :data:`FIGURE_DRIVERS` names
+drivers that are looked up in :mod:`repro.harness.experiments` only when the
+figure runs.  ``tests/test_imports.py`` keeps NumPy and the harness out of
+``sys.modules`` after ``--help``.
 """
 
 from __future__ import annotations
@@ -60,39 +67,14 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.falsify.objective import objective_names, resolve_objective
-from repro.falsify.promote import DEFAULT_COUNTEREXAMPLES_DIR, check_counterexamples
-from repro.falsify.report import format_report, read_campaign, report_stats
-from repro.falsify.search import STRATEGIES, CampaignConfig, run_campaign
-from repro.harness import experiments
-from repro.harness.evaluate import (
-    EvaluationSettings,
-    evaluate_qcsat,
-    run_schemes_sharded,
-)
-from repro.harness.models import DEFAULT_TRAINING_STEPS, MODEL_KINDS, get_trained_model
-from repro.harness.registry import REGISTRY, parse_set_overrides
-from repro.harness.reporting import format_rows, print_experiment
-from repro.harness.spec import resolve_trace
-from repro.harness.store import RECORDS_FILENAME, RunStore
-from repro.nn.serialization import save_weight_dict
-from repro.obs.metrics import METRICS_FILENAME
-from repro.serve.daemon import (
-    DEFAULT_MAX_LEASES,
-    DEFAULT_METRICS_INTERVAL,
-    serve_experiment,
-)
-from repro.serve.status import format_status, read_status
+from repro.falsify.objective import DEFAULT_COUNTEREXAMPLES_DIR, STRATEGY_NAMES, objective_names
+from repro.harness.kinds import DEFAULT_TRAINING_STEPS, MODEL_KINDS
+from repro.obs.metrics import DEFAULT_METRICS_INTERVAL
+from repro.serve.lease import DEFAULT_MAX_LEASES
 from repro.telemetry import log
-from repro.telemetry.events import validate_events
 from repro.telemetry.log import console
-from repro.telemetry.render import render_summary, render_timeline, resolve_groups
-from repro.topology.families import topology_family_specs
-from repro.workload.spec import workload_specs
-from repro.traces.cellular import CELLULAR_TRACE_NAMES
-from repro.traces.synthetic import SYNTHETIC_TRACE_NAMES, make_synthetic_trace
 
 __all__ = ["main", "build_parser"]
 
@@ -100,16 +82,17 @@ __all__ = ["main", "build_parser"]
 #: explicit ``--store`` is given (one store per experiment name).
 DEFAULT_STORE_ROOT = Path("runs")
 
-#: Figure ids that are plain (serial) driver functions, called with the
-#: ``--steps`` training budget and ``--seed``.
-FIGURE_DRIVERS: Dict[str, Callable[..., dict]] = {
-    "1": experiments.motivation_noise,
-    "2": experiments.motivation_bad_state,
-    "6": experiments.certified_components,
-    "11": experiments.noise_sensitivity,
-    "16": experiments.sensitivity,
-    "17": experiments.training_curves,
-    "table4": experiments.verification_overhead,
+#: Figure ids that are plain (serial) driver functions of
+#: :mod:`repro.harness.experiments`, by name, called with the ``--steps``
+#: training budget and ``--seed``.
+FIGURE_DRIVERS: Dict[str, str] = {
+    "1": "motivation_noise",
+    "2": "motivation_bad_state",
+    "6": "certified_components",
+    "11": "noise_sensitivity",
+    "16": "sensitivity",
+    "17": "training_curves",
+    "table4": "verification_overhead",
 }
 
 #: Figure ids that are registered experiments: id → (experiment name, axis
@@ -128,6 +111,8 @@ FIGURE_EXPERIMENTS: Dict[str, tuple] = {
 
 
 def _get_trace(name: str):
+    from repro.harness.spec import resolve_trace
+
     try:
         return resolve_trace(name)
     except ValueError:
@@ -138,6 +123,11 @@ def _get_trace(name: str):
 # Subcommand implementations
 # ---------------------------------------------------------------------- #
 def cmd_list_traces(_args: argparse.Namespace) -> int:
+    from repro.topology.families import topology_family_specs
+    from repro.traces.cellular import CELLULAR_TRACE_NAMES
+    from repro.traces.synthetic import SYNTHETIC_TRACE_NAMES
+    from repro.workload.spec import workload_specs
+
     console("Synthetic traces (18):")
     for name in SYNTHETIC_TRACE_NAMES:
         console(f"  {name}")
@@ -154,6 +144,9 @@ def cmd_list_traces(_args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from repro.harness.models import get_trained_model
+    from repro.nn.serialization import save_weight_dict
+
     model = get_trained_model(args.kind, training_steps=args.steps, seed=args.seed,
                               lam=args.lam, n_components=args.components)
     metrics = model.training.final_metrics()
@@ -166,6 +159,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.harness.evaluate import EvaluationSettings, run_schemes_sharded
+    from repro.harness.models import get_trained_model
+    from repro.harness.reporting import format_rows
+
     trace = _get_trace(args.trace)
     settings = EvaluationSettings(duration=args.duration, buffer_bdp=args.buffer_bdp,
                                   min_rtt=args.rtt, topology=args.topology,
@@ -180,6 +177,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    from repro.harness.evaluate import EvaluationSettings, evaluate_qcsat
+    from repro.harness.models import get_trained_model
+
     trace = _get_trace(args.trace)
     settings = EvaluationSettings(duration=args.duration, buffer_bdp=args.buffer_bdp,
                                   min_rtt=args.rtt, topology=args.topology,
@@ -192,6 +192,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    from repro.harness import experiments
+    from repro.harness.registry import REGISTRY
+    from repro.harness.reporting import print_experiment
+    from repro.harness.store import RunStore
+
     if args.figure_id in FIGURE_EXPERIMENTS:
         # Registry-backed figures regenerate through the resumable store:
         # every completed cell persists, and re-rendering (same store)
@@ -210,13 +215,19 @@ def cmd_figure(args: argparse.Namespace) -> int:
         known = sorted({*FIGURE_DRIVERS, *FIGURE_EXPERIMENTS})
         raise SystemExit(f"no driver for figure {args.figure_id!r}; "
                          f"known: {', '.join(known)}")
-    result = driver(training_steps=args.steps, seed=args.seed)
+    result = getattr(experiments, driver)(training_steps=args.steps, seed=args.seed)
     print_experiment(f"Figure/table {args.figure_id}", result)
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve one experiment grid across a lease-based worker fleet."""
+    from repro.harness.registry import REGISTRY, parse_set_overrides
+    from repro.harness.reporting import print_experiment
+    from repro.harness.store import RunStore
+    from repro.obs.metrics import METRICS_FILENAME
+    from repro.serve.daemon import serve_experiment
+
     try:
         REGISTRY.get(args.name)  # validate the name before mkdir'ing a store
         overrides = parse_set_overrides(args.set or [])
@@ -260,6 +271,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_status(args: argparse.Namespace) -> int:
     """Render live serve progress replayed from a store's lease journal."""
+    from repro.serve.status import format_status, read_status
+
     while True:
         try:
             status = read_status(args.store)
@@ -280,6 +293,10 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """The generic experiment front door (registry + resumable run store)."""
+    from repro.harness.registry import REGISTRY, parse_set_overrides
+    from repro.harness.reporting import print_experiment
+    from repro.harness.store import RunStore
+
     if args.list or args.name is None:
         console("Registered experiments (python -m repro run <name> --set axis=value ...):")
         for entry in REGISTRY.describe():
@@ -317,6 +334,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Render the telemetry of a run store: per-cell timelines and summaries."""
+    from repro.harness.store import RECORDS_FILENAME, RunStore
+    from repro.telemetry.events import validate_events
+    from repro.telemetry.render import render_summary, render_timeline, resolve_groups
+
     store_path = Path(args.store)
     if not (store_path / RECORDS_FILENAME).is_file():
         raise SystemExit(f"{store_path}: not a run store (no {RECORDS_FILENAME})")
@@ -363,6 +384,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_falsify(args: argparse.Namespace) -> int:
     """Falsification front door: campaign, ``report <store>``, or ``--check``."""
     if args.check is not None:
+        from repro.falsify.promote import check_counterexamples
+
         try:
             result = check_counterexamples(args.check, jobs=args.jobs)
         except (FileNotFoundError, ValueError) as exc:
@@ -382,6 +405,8 @@ def cmd_falsify(args: argparse.Namespace) -> int:
     if args.target == "report":
         if args.report_store is None:
             raise SystemExit("usage: python -m repro falsify report <store>")
+        from repro.falsify.report import format_report, read_campaign, report_stats
+
         try:
             report = read_campaign(args.report_store)
         except ValueError as exc:
@@ -396,6 +421,11 @@ def cmd_falsify(args: argparse.Namespace) -> int:
             "usage: python -m repro falsify <experiment> [--objective NAME ...]\n"
             "       python -m repro falsify report <store>\n"
             "       python -m repro falsify --check [COUNTEREXAMPLES_DIR]")
+    from repro.falsify.objective import resolve_objective
+    from repro.falsify.search import CampaignConfig, run_campaign
+    from repro.harness.registry import REGISTRY, parse_set_overrides
+    from repro.harness.store import RunStore
+
     try:
         REGISTRY.get(args.target)  # validate the name before mkdir'ing a store
         objective = resolve_objective(args.objective, threshold=args.threshold)
@@ -442,6 +472,10 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_classical(args: argparse.Namespace) -> int:
+    from repro.harness.evaluate import EvaluationSettings, run_schemes_sharded
+    from repro.harness.reporting import format_rows
+    from repro.traces.synthetic import SYNTHETIC_TRACE_NAMES, make_synthetic_trace
+
     traces = [make_synthetic_trace(name) for name in SYNTHETIC_TRACE_NAMES[:args.traces]]
     settings = EvaluationSettings(duration=args.duration, buffer_bdp=args.buffer_bdp,
                                   topology=args.topology, workload=args.workload,
@@ -464,6 +498,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts where 0 is a mode of its own (``serve --workers``)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
 
 
@@ -584,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--store", default=None, metavar="DIR",
                               help="run-store directory; its leases.jsonl is the "
                                    "live status surface (default: runs/<experiment>)")
-    serve_parser.add_argument("--workers", type=int, default=2,
+    serve_parser.add_argument("--workers", type=_non_negative_int, default=2,
                               help="fleet size (0 computes inline, no processes)")
     serve_parser.add_argument("--ttl", type=_positive_float, default=10.0,
                               help="lease TTL in seconds; a lease not heartbeat-"
@@ -592,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--max-leases", dest="max_leases", type=_positive_int,
                               default=DEFAULT_MAX_LEASES,
                               help="reclaim budget per cell before it is marked failed")
-    serve_parser.add_argument("--timeout", type=float, default=900.0,
+    serve_parser.add_argument("--timeout", type=_positive_float, default=900.0,
                               help="overall wall-clock guard in seconds")
     serve_parser.add_argument("--fresh", action="store_true",
                               help="recompute cells already in the store")
@@ -654,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     falsify_parser.add_argument("--budget", type=int, default=40,
                                 help="candidate cells the search may propose")
     falsify_parser.add_argument("--strategy", default="evolve",
-                                choices=sorted(STRATEGIES),
+                                choices=sorted(STRATEGY_NAMES),
                                 help="search strategy (default: evolve)")
     falsify_parser.add_argument("--store", default=None, metavar="DIR",
                                 help="campaign run store (default: "

@@ -30,19 +30,11 @@ Front door: ``python -m repro falsify <experiment> --objective qc_gap
 --check <counterexamples>``.
 """
 
-from repro.falsify.objective import OBJECTIVES, Objective, resolve_objective
-from repro.falsify.promote import check_counterexamples, load_counterexamples
-from repro.falsify.search import CampaignConfig, STRATEGIES, run_campaign
-from repro.falsify.shrink import shrink_counterexample
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "OBJECTIVES",
-    "Objective",
-    "STRATEGIES",
-    "CampaignConfig",
-    "check_counterexamples",
-    "load_counterexamples",
-    "resolve_objective",
-    "run_campaign",
-    "shrink_counterexample",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".objective": ("OBJECTIVES", "Objective", "resolve_objective"),
+    ".search": ("STRATEGIES", "CampaignConfig", "run_campaign"),
+    ".promote": ("check_counterexamples", "load_counterexamples"),
+    ".shrink": ("shrink_counterexample",),
+})

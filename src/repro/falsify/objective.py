@@ -44,14 +44,26 @@ objective to be measurable (``certify`` — certified learned cell, ``monitor``
 — runtime-monitored learned cell, ``telemetry`` — event trace enabled);
 :func:`repro.falsify.scenario.prepare_template` reshapes the experiment's
 template cell accordingly before the search starts.
+
+This module imports no NumPy, so it also holds the campaign names the CLI
+parser lists: :data:`STRATEGY_NAMES` and :data:`DEFAULT_COUNTEREXAMPLES_DIR`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional
 
-__all__ = ["OBJECTIVES", "Objective", "objective_names", "resolve_objective"]
+__all__ = ["DEFAULT_COUNTEREXAMPLES_DIR", "OBJECTIVES", "Objective", "STRATEGY_NAMES",
+           "objective_names", "resolve_objective"]
+
+#: The search strategies of :mod:`repro.falsify.search`, ``random`` then
+#: ``evolve`` (the keys of its ``STRATEGIES``).
+STRATEGY_NAMES = ("random", "evolve")
+
+#: Where ``python -m repro falsify --check`` looks when given no directory.
+DEFAULT_COUNTEREXAMPLES_DIR = Path("counterexamples")
 
 
 def _float(row: Dict, column: str, default: float = 0.0) -> float:

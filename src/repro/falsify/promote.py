@@ -28,7 +28,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.falsify.objective import Objective, resolve_objective
+from repro.falsify.objective import DEFAULT_COUNTEREXAMPLES_DIR, Objective, resolve_objective
 from repro.falsify.scenario import task_from_json, task_to_json
 from repro.harness.parallel import ExperimentTask, ParallelRunner, run_task
 from repro.harness.registry import pretrain_models
@@ -44,9 +44,6 @@ __all__ = [
 ]
 
 COUNTEREXAMPLES_FILENAME = "counterexamples.jsonl"
-
-#: Where ``python -m repro falsify --check`` looks when given no directory.
-DEFAULT_COUNTEREXAMPLES_DIR = Path("counterexamples")
 
 
 def counterexample_id(key: str) -> str:

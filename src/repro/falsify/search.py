@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.falsify.objective import Objective
+from repro.falsify.objective import STRATEGY_NAMES, Objective
 from repro.falsify.promote import promote_counterexample
 from repro.falsify.scenario import mutate_task, prepare_template
 from repro.falsify.shrink import shrink_counterexample
@@ -92,7 +92,7 @@ class Candidate:
 class RandomStrategy:
     """Seeded random baseline: fresh 1–3-step mutations of the template."""
 
-    name = "random"
+    name = STRATEGY_NAMES[0]
 
     def propose(self, rng, count: int, template: ExperimentTask,
                 scored: Sequence[Candidate]) -> List[Tuple[ExperimentTask, List[str], Optional[str]]]:
@@ -106,7 +106,7 @@ class RandomStrategy:
 class EvolveStrategy:
     """Evolutionary hill-climb: mutate the worst-scoring cells seen so far."""
 
-    name = "evolve"
+    name = STRATEGY_NAMES[1]
     #: Elite pool size (top scorers by violation score, ties by discovery order).
     elite_size = 4
     #: Fraction of proposals that explore fresh template mutations instead.
@@ -226,7 +226,8 @@ class _Evaluator:
 
 def _campaign_template(config: CampaignConfig) -> ExperimentTask:
     """The experiment's first cell under the overrides, reshaped for the objective."""
-    resolved = REGISTRY.resolve_axes(config.experiment, config.overrides)
+    # Planning the whole override grid first rejects one that repeats a cell.
+    resolved = REGISTRY.plan(config.experiment, config.overrides).axes
     collapsed = {axis: value[:1] if isinstance(value, tuple) else value
                  for axis, value in resolved.items()}
     plan = REGISTRY.plan(config.experiment, collapsed)

@@ -2,6 +2,8 @@
 
 * :mod:`repro.harness.models` — trains (and caches) the Canopy / Orca models
   used across experiments.
+* :mod:`repro.harness.kinds` — the model kinds and default training budget,
+  NumPy-free so the CLI parser can list them.
 * :mod:`repro.harness.evaluate` — runs a congestion-control scheme over a
   trace and computes the empirical metrics and QC_sat.
 * :mod:`repro.harness.experiments` — the evaluation's experiments: every
@@ -27,46 +29,19 @@
 * :mod:`repro.harness.reporting` — plain-text rendering of result tables.
 """
 
-from repro.harness.evaluate import (
-    EvaluationSettings,
-    QCSatResult,
-    SchemeResult,
-    evaluate_qcsat,
-    run_scheme_on_trace,
-    run_schemes_sharded,
-    scheme_factory,
-)
-from repro.harness.models import TrainedModel, get_trained_model, clear_model_cache
-from repro.harness.checkpoints import SavedModel, load_model, save_model
-from repro.harness.parallel import ExperimentTask, GridResult, ParallelRunner
-# REGISTRY lazily imports repro.harness.experiments on first lookup, so the
-# built-in experiments are always available without this package import
-# paying for the experiment drivers.
-from repro.harness.registry import REGISTRY
-from repro.harness.spec import ScenarioSpec
-from repro.harness.store import RunRecord, RunStore
-from repro.seeding import derive_seed
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "SavedModel",
-    "save_model",
-    "load_model",
-    "EvaluationSettings",
-    "QCSatResult",
-    "SchemeResult",
-    "evaluate_qcsat",
-    "run_scheme_on_trace",
-    "run_schemes_sharded",
-    "scheme_factory",
-    "TrainedModel",
-    "get_trained_model",
-    "clear_model_cache",
-    "ExperimentTask",
-    "GridResult",
-    "ParallelRunner",
-    "derive_seed",
-    "ScenarioSpec",
-    "RunRecord",
-    "RunStore",
-    "REGISTRY",
-]
+# Names resolve on first access, so importing one harness module (or the CLI)
+# does not import the whole evaluation stack.  REGISTRY in turn imports
+# repro.harness.experiments on first lookup.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".checkpoints": ("SavedModel", "save_model", "load_model"),
+    ".evaluate": ("EvaluationSettings", "QCSatResult", "SchemeResult", "evaluate_qcsat",
+                  "run_scheme_on_trace", "run_schemes_sharded", "scheme_factory"),
+    ".models": ("TrainedModel", "get_trained_model", "clear_model_cache"),
+    ".parallel": ("ExperimentTask", "GridResult", "ParallelRunner"),
+    "repro.seeding": ("derive_seed",),
+    ".spec": ("ScenarioSpec",),
+    ".store": ("RunRecord", "RunStore"),
+    ".registry": ("REGISTRY",),
+})

@@ -35,6 +35,7 @@ from repro.core.properties import PropertySet
 from repro.core.trainer import CanopyTrainer, TrainerConfig, TrainingResult
 from repro.core.verifier import Verifier, VerifierConfig
 from repro.harness.checkpoints import SavedModel, load_model, publish_model
+from repro.harness.kinds import DEFAULT_TRAINING_STEPS, MODEL_KINDS
 from repro.harness.store import fingerprint
 from repro.orca.observations import ObservationConfig
 from repro.telemetry import log
@@ -44,10 +45,6 @@ __all__ = ["TrainedModel", "get_trained_model", "model_for_task", "clear_model_c
 
 #: Environment variable naming the shared on-disk model-zoo directory.
 ZOO_ENV = "REPRO_MODEL_ZOO"
-
-DEFAULT_TRAINING_STEPS = 800
-
-MODEL_KINDS = ("canopy-shallow", "canopy-deep", "canopy-robust", "orca")
 
 
 @dataclass

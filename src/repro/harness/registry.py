@@ -279,13 +279,21 @@ class ExperimentRegistry:
 
         Both :meth:`run` and the serve daemon start from the same plan, which
         is what guarantees their cell identities (and therefore store keys)
-        agree.
+        agree.  A grid that names one cell twice (e.g. a repeated axis value,
+        or two spellings of one topology) raises ``ValueError``: a key must
+        identify exactly one cell of the plan.
         """
         experiment = self.get(name)
         axes = self.resolve_axes(name, overrides)
         tasks = list(experiment.build(axes))
-        return ExperimentPlan(experiment=experiment, axes=axes, tasks=tasks,
-                              keys=[task.cell_key() for task in tasks])
+        keys = [task.cell_key() for task in tasks]
+        seen = set()
+        for key in keys:
+            if key in seen:
+                raise ValueError(f"experiment {name!r} plans cell {key!r} more than "
+                                 "once; remove the repeated axis value")
+            seen.add(key)
+        return ExperimentPlan(experiment=experiment, axes=axes, tasks=tasks, keys=keys)
 
     def finalize(self, plan: ExperimentPlan, rows: List[Optional[Dict]],
                  wall_clock_s: float, n_jobs: int, n_cached: int) -> Dict:

@@ -26,25 +26,11 @@ resumed stays byte-identical with observability fully on or fully off
   every compaction so retention is auditable.
 """
 
-from repro.obs.aggregate import fleet_rollup, format_phase_table, merge_phase_reports
-from repro.obs.metrics import (
-    METRIC_FRAME_SCHEMA,
-    METRICS_FILENAME,
-    MetricsJournal,
-    MetricsSampler,
-    validate_frame,
-)
-from repro.obs.retention import RetentionPolicy, compact_store
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "METRIC_FRAME_SCHEMA",
-    "METRICS_FILENAME",
-    "MetricsJournal",
-    "MetricsSampler",
-    "RetentionPolicy",
-    "compact_store",
-    "fleet_rollup",
-    "format_phase_table",
-    "merge_phase_reports",
-    "validate_frame",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".aggregate": ("fleet_rollup", "format_phase_table", "merge_phase_reports"),
+    ".metrics": ("METRIC_FRAME_SCHEMA", "METRICS_FILENAME", "MetricsJournal",
+                 "MetricsSampler", "validate_frame"),
+    ".retention": ("RetentionPolicy", "compact_store"),
+})

@@ -34,10 +34,10 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.harness.jsonl import parse_jsonl_tolerant
-from repro.harness.store import validate_schema
 from repro.telemetry.profiler import TICK_PHASES, TickProfiler
 
 __all__ = [
+    "DEFAULT_METRICS_INTERVAL",
     "FRAME_VERSION",
     "METRIC_FRAME_SCHEMA",
     "METRICS_FILENAME",
@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 METRICS_FILENAME = "metrics.jsonl"
+
+#: Default worker metric-frame sampling interval (seconds); 0/None disables.
+DEFAULT_METRICS_INTERVAL = 1.0
 
 #: Frame schema version (bumped on incompatible frame shape changes).
 FRAME_VERSION = 1
@@ -76,6 +79,10 @@ METRIC_FRAME_SCHEMA = {
 
 def validate_frame(frame: Dict) -> None:
     """Schema-check one metric frame; raises ``ValueError`` on mismatch."""
+    # Imported here so the CLI parser can read DEFAULT_METRICS_INTERVAL
+    # without loading the run store (subprocess, hashlib).
+    from repro.harness.store import validate_schema
+
     validate_schema(frame, METRIC_FRAME_SCHEMA, path="frame")
 
 

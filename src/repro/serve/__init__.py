@@ -17,16 +17,10 @@ Entry points: ``python -m repro serve <experiment> --store DIR --workers N``
 and :func:`repro.serve.daemon.serve_experiment`.
 """
 
-from repro.serve.daemon import serve_experiment
-from repro.serve.lease import LEASES_FILENAME, Lease, LeaseJournal, LeaseTable
-from repro.serve.status import format_status, read_status
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "LEASES_FILENAME",
-    "Lease",
-    "LeaseJournal",
-    "LeaseTable",
-    "format_status",
-    "read_status",
-    "serve_experiment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".lease": ("LEASES_FILENAME", "Lease", "LeaseJournal", "LeaseTable"),
+    ".status": ("format_status", "read_status"),
+    ".daemon": ("serve_experiment",),
+})

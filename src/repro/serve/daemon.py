@@ -51,14 +51,12 @@ from typing import Dict, List, Optional
 from repro.harness.models import ZOO_ENV
 from repro.harness.registry import REGISTRY
 from repro.harness.store import RunRecord, RunStore, canonical_json
-from repro.serve.lease import LeaseJournal, LeaseTable
+from repro.obs.metrics import DEFAULT_METRICS_INTERVAL, MetricsJournal, MetricsSampler
+from repro.serve.lease import DEFAULT_MAX_LEASES, LeaseJournal, LeaseTable
 from repro.serve.worker import worker_main
 from repro.telemetry import log
 
 __all__ = ["serve_experiment"]
-
-#: How many times a cell may be leased before it is declared failed.
-DEFAULT_MAX_LEASES = 3
 
 
 class _Fleet:
@@ -122,10 +120,6 @@ class _Fleet:
                 state["process"].join(timeout=2.0)
 
 
-#: Default worker metric-frame sampling interval (seconds); 0/None disables.
-DEFAULT_METRICS_INTERVAL = 1.0
-
-
 def serve_experiment(name: str, overrides: Optional[Dict] = None,
                      store: RunStore | str | Path = None, workers: int = 2,
                      ttl_s: float = 10.0, heartbeat_s: Optional[float] = None,
@@ -146,9 +140,9 @@ def serve_experiment(name: str, overrides: Optional[Dict] = None,
         overrides: Axis overrides (same shapes as ``REGISTRY.run``).
         store: Run-store directory (or an open :class:`RunStore`).  Required —
             the store is the work queue's durable side.
-        workers: Fleet size.  ``0`` computes cells inline in the daemon
-            process (lease bookkeeping still runs; useful where fork is
-            unavailable).
+        workers: Fleet size, >= 0 (``ValueError`` otherwise).  ``0`` computes
+            cells inline in the daemon process (lease bookkeeping still runs;
+            useful where fork is unavailable).
         ttl_s: Lease TTL in seconds, > 0 (``ValueError`` otherwise); a lease
             not renewed for this long is reclaimed.
         heartbeat_s: Worker heartbeat period (default ``ttl_s / 4``).
@@ -159,8 +153,9 @@ def serve_experiment(name: str, overrides: Optional[Dict] = None,
             prove the reclaim path; replacement workers are spawned clean.
         max_leases: Reclaim budget per cell before it is marked failed.
         poll_s: Daemon message-loop poll interval.
-        timeout_s: Overall wall-clock guard; the daemon kills the fleet and
-            raises if the sweep has not completed in time (None disables).
+        timeout_s: Overall wall-clock guard in seconds, > 0 (``ValueError``
+            otherwise); the daemon kills the fleet and raises if the sweep has
+            not completed in time (None disables).
         metrics_interval: Worker metric-frame sampling period (seconds); the
             daemon appends frames to ``metrics.jsonl`` next to the lease
             journal.  ``0``/``None`` turns the metrics stream off.  Frames
@@ -176,6 +171,11 @@ def serve_experiment(name: str, overrides: Optional[Dict] = None,
         # A non-positive TTL expires every lease on grant: the daemon would
         # SIGKILL each worker it hands a cell to.
         raise ValueError(f"serve_experiment: ttl_s must be positive, got {ttl_s!r}")
+    if timeout_s is not None and not timeout_s > 0:
+        raise ValueError(f"serve_experiment: timeout_s must be positive or None, "
+                         f"got {timeout_s!r}")
+    if workers < 0:
+        raise ValueError(f"serve_experiment: workers must be >= 0, got {workers!r}")
     store = store if isinstance(store, RunStore) else RunStore(store)
     # One shared model zoo per store unless the caller pinned one: the parent
     # trains (publishing checkpoints), every worker — even one spawned after
@@ -200,8 +200,6 @@ def serve_experiment(name: str, overrides: Optional[Dict] = None,
     # replays on-disk journals per request (no channel into this process).
     metrics_journal = None
     if metrics_interval is not None and metrics_interval > 0:
-        from repro.obs.metrics import MetricsJournal
-
         metrics_journal = MetricsJournal(store.path)
     obs_server = None
     if http_port is not None:
@@ -239,7 +237,7 @@ def serve_experiment(name: str, overrides: Optional[Dict] = None,
 
     n_to_serve = len(pending)
     try:
-        if workers <= 0 or n_to_serve == 0:
+        if workers == 0 or n_to_serve == 0:
             _serve_inline(plan, table, pending, keys, _finish_row,
                           metrics_journal=metrics_journal)
         else:
@@ -290,7 +288,6 @@ def _serve_inline(plan, table: LeaseTable, pending, keys, finish_row,
     """
     sampler = None
     if metrics_journal is not None:
-        from repro.obs.metrics import MetricsSampler
         from repro.telemetry.profiler import (TickProfiler, activate_profiler,
                                               deactivate_profiler)
 
@@ -332,7 +329,7 @@ def _serve_fleet(plan, table: LeaseTable, journal: LeaseJournal, pending,
                    metrics_interval=metrics_interval
                    if metrics_journal is not None else None)
 
-    deadline = (time.monotonic() + timeout_s) if timeout_s else None
+    deadline = (time.monotonic() + timeout_s) if timeout_s is not None else None
     try:
         for worker_index in range(workers):
             # Chaos is armed on the first worker only; its replacement (and

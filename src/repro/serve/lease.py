@@ -44,9 +44,12 @@ from typing import Callable, Dict, List, Optional
 
 from repro.harness.jsonl import parse_jsonl_tolerant
 
-__all__ = ["LEASES_FILENAME", "Lease", "LeaseJournal", "LeaseTable"]
+__all__ = ["DEFAULT_MAX_LEASES", "LEASES_FILENAME", "Lease", "LeaseJournal", "LeaseTable"]
 
 LEASES_FILENAME = "leases.jsonl"
+
+#: How many times a cell may be leased before it is declared failed.
+DEFAULT_MAX_LEASES = 3
 
 
 class LeaseJournal:

@@ -23,45 +23,14 @@ Enablement rides on ``EvaluationSettings.telemetry`` (``off`` | ``on`` |
 and every existing store key bit-identical.
 """
 
-from repro.telemetry.events import (
-    DEFAULT_STRIDE,
-    DEFAULT_TELEMETRY,
-    EVENT_KINDS,
-    EVENT_SCHEMA,
-    EventTrace,
-    TelemetryConfig,
-    canonical_telemetry,
-    parse_telemetry,
-    validate_events,
-)
-from repro.telemetry.profiler import (
-    TICK_PHASES,
-    TickProfiler,
-    activate_profiler,
-    active_profiler,
-    deactivate_profiler,
-)
-from repro.telemetry.render import EVENT_GROUPS, render_summary, render_timeline
-from repro.telemetry.summary import fallback_episodes, summarize_events
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_STRIDE",
-    "DEFAULT_TELEMETRY",
-    "EVENT_KINDS",
-    "EVENT_SCHEMA",
-    "EVENT_GROUPS",
-    "EventTrace",
-    "TelemetryConfig",
-    "TICK_PHASES",
-    "TickProfiler",
-    "activate_profiler",
-    "active_profiler",
-    "deactivate_profiler",
-    "canonical_telemetry",
-    "parse_telemetry",
-    "validate_events",
-    "fallback_episodes",
-    "summarize_events",
-    "render_summary",
-    "render_timeline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": ("DEFAULT_STRIDE", "DEFAULT_TELEMETRY", "EVENT_KINDS", "EVENT_SCHEMA",
+                "EventTrace", "TelemetryConfig", "canonical_telemetry", "parse_telemetry",
+                "validate_events"),
+    ".profiler": ("TICK_PHASES", "TickProfiler", "activate_profiler", "active_profiler",
+                  "deactivate_profiler"),
+    ".render": ("EVENT_GROUPS", "render_summary", "render_timeline"),
+    ".summary": ("fallback_episodes", "summarize_events"),
+})

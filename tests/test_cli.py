@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
+import inspect
+
 import pytest
 
 from repro.cli import FIGURE_DRIVERS, FIGURE_EXPERIMENTS, build_parser, main
@@ -372,3 +375,85 @@ def test_quiet_and_verbose_flags_configure_logging(tmp_path, capsys):
     assert logging.getLogger("repro").level == logging.INFO
     assert main(["--quiet", "trace", store]) == 1  # untraced: exit 1, not a crash
     assert logging.getLogger("repro").level == logging.ERROR
+
+
+# --------------------------------------------------------------------- #
+# Repeated cells and serve timing flags
+# --------------------------------------------------------------------- #
+REPEATED_SETS = ["--set", "schemes=cubic", "--set", "topology=chain(2),chain( 2 )",
+                 "--set", "workload=static", "--set", "duration=1.0", "--set", "seeds=1"]
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "workload_stress"],
+    ["serve", "workload_stress", "--workers", "0"],
+    ["falsify", "workload_stress", "--objective", "loss_burst", "--budget", "2"],
+])
+def test_repeated_cell_exits_before_any_record(command, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_MODEL_ZOO", str(tmp_path / "zoo"))
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit, match=r"plans cell .*chain\(2\).* more than once"):
+        main([*command, *REPEATED_SETS, "--store", str(store)])
+    assert not (store / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "workload_stress", *SERVE_TINY, "--timeout", "0"],
+    ["serve", "workload_stress", *SERVE_TINY, "--timeout", "-1"],
+    ["serve", "workload_stress", *SERVE_TINY, "--workers", "-1"],
+])
+def test_serve_rejects_bad_timeout_and_negative_workers(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_MODEL_ZOO", str(tmp_path / "zoo"))
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--timeout" in err or "--workers" in err
+    assert not (tmp_path / "runs").exists()
+
+
+# --------------------------------------------------------------------- #
+# Parser-time constants agree with the code that uses them
+# --------------------------------------------------------------------- #
+def _option(subcommand: str, flag: str) -> argparse.Action:
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return next(action for action in subparsers.choices[subcommand]._actions
+                if flag in action.option_strings)
+
+
+def _default(function, parameter: str):
+    return inspect.signature(function).parameters[parameter].default
+
+
+@pytest.mark.parametrize("subcommand", ["train", "evaluate", "certify"])
+def test_model_options_match_the_model_catalog(subcommand):
+    from repro.harness.models import DEFAULT_TRAINING_STEPS, MODEL_KINDS, get_trained_model
+
+    assert _option(subcommand, "--kind").choices == sorted(MODEL_KINDS)
+    assert _option(subcommand, "--steps").default == DEFAULT_TRAINING_STEPS
+    assert DEFAULT_TRAINING_STEPS == _default(get_trained_model, "training_steps")
+
+
+def test_falsify_options_match_the_falsify_package():
+    from repro.falsify.objective import OBJECTIVES, objective_names
+    from repro.falsify.promote import DEFAULT_COUNTEREXAMPLES_DIR
+    from repro.falsify.search import STRATEGIES
+
+    assert _option("falsify", "--strategy").choices == sorted(STRATEGIES)
+    assert _option("falsify", "--objective").help.endswith(", ".join(objective_names()))
+    assert objective_names() == sorted(OBJECTIVES)
+    assert _option("falsify", "--check").const == str(DEFAULT_COUNTEREXAMPLES_DIR)
+
+
+def test_serve_defaults_match_serve_and_obs_constants():
+    from repro.obs.metrics import DEFAULT_METRICS_INTERVAL
+    from repro.serve.daemon import serve_experiment
+    from repro.serve.lease import DEFAULT_MAX_LEASES
+
+    assert _option("serve", "--max-leases").default == DEFAULT_MAX_LEASES
+    assert DEFAULT_MAX_LEASES == _default(serve_experiment, "max_leases")
+    assert _option("serve", "--metrics-interval").default == DEFAULT_METRICS_INTERVAL
+    assert DEFAULT_METRICS_INTERVAL == _default(serve_experiment, "metrics_interval")

@@ -244,6 +244,21 @@ class TestPlanAndFinalize:
         assert plan.keys == [task.cell_key() for task in plan.tasks]
         assert plan.axes["schemes"] == ("cubic", "vegas")
 
+    def test_plan_rejects_a_repeated_cell(self):
+        registry = make_registry()
+        with pytest.raises(ValueError, match="plans cell 'scheme=cubic .*' more than once"):
+            registry.plan("toy", {"schemes": "cubic", "seeds": "7,8,7"})
+
+    def test_plan_rejects_values_that_canonicalize_to_one_cell(self):
+        with pytest.raises(ValueError, match=r"topology=chain\(2\).* more than once"):
+            REGISTRY.plan("workload_stress", {"schemes": "cubic", "workload": "static",
+                                              "topology": "chain(2),chain( 2 )"})
+
+    def test_builtin_default_plans_have_unique_keys(self):
+        for name in REGISTRY.names():
+            plan = REGISTRY.plan(name)
+            assert len(set(plan.keys)) == len(plan.keys), name
+
     def test_finalize_matches_run_result(self):
         # run() and the serve daemon both aggregate through finalize(); the
         # result shape (rows, axes echo, cache accounting) must agree.

@@ -6,6 +6,7 @@ the subpackage is imported again from scratch (all ``repro`` modules dropped
 from ``sys.modules`` in between; third-party modules stay loaded).
 """
 
+import importlib
 import os
 import pkgutil
 import subprocess
@@ -47,3 +48,41 @@ def test_subpackage_imports_in_fresh_interpreter(package):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert int(result.stdout.strip()) >= 1
+
+
+#: What printing CLI help must not import: building the parser reads only
+#: NumPy-free constants, and every handler imports its own stack.
+HEAVY_MODULES = ["numpy", "repro.harness.evaluate", "repro.falsify.search", "repro.serve.daemon"]
+
+HELP_PATHS = {
+    "build_parser": "import repro.cli\nrepro.cli.build_parser().format_help()",
+    "runpy --help": ("import runpy\nsys.argv = ['repro', '--help']\n"
+                     "try:\n    runpy.run_module('repro', run_name='__main__')\n"
+                     "except SystemExit:\n    pass"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(HELP_PATHS))
+def test_cli_help_path_imports_no_numpy_or_harness(path):
+    code = (f"import sys\n{HELP_PATHS[path]}\n"
+            f"sys.stderr.write(repr([m for m in {HEAVY_MODULES!r} if m in sys.modules]))")
+    result = subprocess.run([sys.executable, "-c", code], cwd=SRC,
+                            env={**os.environ, "PYTHONPATH": str(SRC)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "[]"
+
+
+LAZY_PACKAGES = ["repro.falsify", "repro.harness", "repro.obs", "repro.serve", "repro.telemetry"]
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_package_exports_resolve_and_are_listed(package):
+    module = importlib.import_module(package)
+    assert module.__all__
+    listed = dir(module)
+    for name in module.__all__:
+        assert hasattr(module, name), name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="no attribute 'not_exported'"):
+        getattr(module, "not_exported")

@@ -270,6 +270,32 @@ class TestServeDeterminism:
         assert not (tmp_path / "store").exists()
 
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"timeout_s": 0.0}, "timeout_s must be positive"),
+        ({"timeout_s": -1.0}, "timeout_s must be positive"),
+        ({"workers": -1}, "workers must be >= 0"),
+    ])
+    def test_bad_timeout_or_workers_rejected_before_touching_the_store(
+            self, tmp_path, kwargs, message):
+        # A negative timeout failed the fleet after spawning it, 0 silently
+        # disabled the guard, and -1 workers silently ran inline.
+        with pytest.raises(ValueError, match=message):
+            serve_experiment("serve_toy", None, store=tmp_path / "store",
+                             **{"workers": 0, **kwargs})
+        assert not (tmp_path / "store").exists()
+
+    def test_no_timeout_guard_with_none(self, tmp_path):
+        served = serve_experiment("serve_toy", None, store=tmp_path / "store",
+                                  workers=1, timeout_s=None)
+        assert served["served_cells"] == 3 and served["reclaims"] == 0
+
+    def test_repeated_cell_rejected_before_any_record(self, tmp_path):
+        with pytest.raises(ValueError, match="plans cell 'toy=a' more than once"):
+            serve_experiment("serve_toy", {"names": ("a", "bb", "a")},
+                             store=tmp_path / "store", workers=0)
+        assert not (tmp_path / "store" / "records.jsonl").exists()
+
+
 # --------------------------------------------------------------------- #
 # Failure surfacing (deterministic runner errors)
 # --------------------------------------------------------------------- #
